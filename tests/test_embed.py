@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,10 @@ from lietriple.embed import (
 from lietriple.exactla import Matrix, full_subspace, span, zero_subspace
 from lietriple.lie import Grading, LieAlgebra, check_grading, check_jacobi
 from lietriple.core import derived_series, is_ideal
-from util import random_invertible
+from lietriple.formats import serialize_lie
+from util import random_invertible, sphere_system
+
+GOLDEN = Path(__file__).parent / "golden"
 
 E = {i: tuple(1 if c == i else 0 for c in range(3)) for i in range(3)}
 
@@ -193,3 +197,17 @@ def test_round_trip_on_random_transforms(entries):
             t = transform(e.system, T)
             emb = standard_embedding(t)
             assert lie_to_lts(emb.algebra, emb.grading).c == t.c, e.label
+
+
+def test_sphere_embedding_matches_golden_bytes():
+    # pins the greedy h-basis order and every bracket coordinate at n = 4
+    cases = {
+        "sphere4.lie": sphere_system(4),
+        "sphere4-changed.lie": transform(
+            sphere_system(4),
+            Matrix.from_rows([[1, 1, 0, 0], [0, 1, 2, 0], [1, 0, 1, -1], [0, "1/2", 0, 3]]),
+        ),
+    }
+    for name, t in cases.items():
+        e = standard_embedding(t)
+        assert serialize_lie(e.algebra, e.grading) == (GOLDEN / name).read_text(), name

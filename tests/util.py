@@ -20,3 +20,19 @@ def random_invertible(rng, n, lo=-3, hi=3, dens=(1, 2)):
         m = random_matrix(rng, n, n, lo, hi, dens)
         if determinant(m) != 0:
             return m
+
+
+def sphere_system(k):
+    """(x, y, z) = <x,z> y - <y,z> x on Q^k with the standard inner product."""
+    from lietriple.core import TripleSystem
+
+    entries = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            v = [0] * k
+            v[b] = 1
+            entries[(a, b, a)] = tuple(v)
+            v = [0] * k
+            v[a] = -1
+            entries[(a, b, b)] = tuple(v)
+    return TripleSystem.from_entries(k, entries)
