@@ -14,17 +14,18 @@ from fractions import Fraction
 from math import lcm
 
 from .exactla import (
+    Echelon,
     Matrix,
     Subspace,
     ZERO,
     full_subspace,
     inverse,
     kernel,
-    pivot_columns,
     span,
-    subspace_contains,
+    unit_vec,
     vec,
     vec_is_zero,
+    vec_neg,
     zero_vec,
 )
 
@@ -57,7 +58,7 @@ class TripleSystem:
                     raise InvalidLTS(f"(e{i + 1},e{i + 1},e{k + 1}) must vanish")
             for j in range(i + 1, n):
                 for k in range(n):
-                    if self.c[i][j][k] != tuple(-x for x in self.c[j][i][k]):
+                    if self.c[i][j][k] != vec_neg(self.c[j][i][k]):
                         raise InvalidLTS(
                             f"tensor not antisymmetric in the first two slots at ({i + 1},{j + 1},{k + 1})"
                         )
@@ -76,7 +77,7 @@ class TripleSystem:
             if len(v) != dim:
                 raise ValueError("coordinate vector length mismatch")
             c[i][j][k] = list(v)
-            c[j][i][k] = [-x for x in v]
+            c[j][i][k] = vec_neg(v)
         frozen = tuple(
             tuple(tuple(tuple(x for x in vecs) for vecs in cij) for cij in ci) for ci in c
         )
@@ -85,10 +86,6 @@ class TripleSystem:
     @staticmethod
     def abelian(dim: int) -> TripleSystem:
         return TripleSystem.from_entries(dim, {})
-
-    def product_entry(self, i: int, j: int, k: int):
-        """(e_i, e_j, e_k) as a coordinate vector, 0-based indices."""
-        return self.c[i][j][k]
 
 
 @dataclass(frozen=True)
@@ -149,8 +146,8 @@ def _product_vbb(t: TripleSystem, v, j: int, k: int):
     return tuple(out)
 
 
-def _int_tensor(t: TripleSystem):
-    """Common denominator d and the integer tensor d·c as nested lists."""
+def common_denominator(t: TripleSystem) -> int:
+    """Least common denominator of all structure constants."""
     d = 1
     for ci in t.c:
         for cij in ci:
@@ -158,6 +155,12 @@ def _int_tensor(t: TripleSystem):
                 for x in v:
                     if x:
                         d = lcm(d, x.denominator)
+    return d
+
+
+def _int_tensor(t: TripleSystem):
+    """Common denominator d and the integer tensor d·c as nested lists."""
+    d = common_denominator(t)
     A = [
         [[[int(x * d) if x else 0 for x in v] for v in cij] for cij in ci] for ci in t.c
     ]
@@ -247,10 +250,11 @@ def is_ideal(t: TripleSystem, d: Subspace) -> bool:
     """(D, M, M) contained in D; the other slots follow from the identities."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
+    ech = Echelon(t.dim, d.vectors())
     for v in d.vectors():
         for j in range(t.dim):
             for k in range(t.dim):
-                if not subspace_contains(d, _product_vbb(t, v, j, k)):
+                if any(ech.reduce(_product_vbb(t, v, j, k))):
                     return False
     return True
 
@@ -259,10 +263,11 @@ def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
     """(D, D, D) contained in D."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
+    ech = Echelon(t.dim, d.vectors())
     for x in d.vectors():
         for y in d.vectors():
             for z in d.vectors():
-                if not subspace_contains(d, triple_product(t, x, y, z)):
+                if any(ech.reduce(triple_product(t, x, y, z))):
                     return False
     return True
 
@@ -275,14 +280,8 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     for i in range(t.dim):
         for a in om.vectors():
             for b in om.vectors():
-                products.append(triple_product(t, _basis(t.dim, i), a, b))
+                products.append(triple_product(t, unit_vec(t.dim, i), a, b))
     return span(products, t.dim)
-
-
-def _basis(n: int, i: int):
-    v = [ZERO] * n
-    v[i] = Fraction(1)
-    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,9 @@ class DerivedSeries:
 
 
 def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
-    if not is_ideal(t, om):
+    # the whole space is an ideal of any tensor, (M, M, M) ⊆ M, so only a
+    # proper subspace needs the proof
+    if om.dim != t.dim and not is_ideal(t, om):
         raise NotAnIdeal("derived series requires an ideal")
     terms = [om]
     while True:
@@ -338,26 +339,15 @@ def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
     """Quotient triple system by an ideal, on the non-pivot standard coordinates."""
     if not is_ideal(t, om):
         raise NotAnIdeal("quotient requires an ideal")
-    n = t.dim
-    pivots = pivot_columns(om.basis, om.dim)
-    complement = [j for j in range(n) if j not in pivots]
+    ech = Echelon(t.dim, om.vectors())
+    complement = [j for j in range(t.dim) if j not in ech.pivots]
     q = len(complement)
-
-    def reduce_mod(v):
-        residual = list(v)
-        for i, p in enumerate(pivots):
-            coeff = residual[p]
-            if coeff:
-                row = om.basis.entries[i]
-                residual = [x - coeff * y for x, y in zip(residual, row)]
-        return tuple(residual[j] for j in complement)
-
     entries = {}
     for a in range(q):
         for b in range(a + 1, q):
             for k in range(q):
-                prod = t.c[complement[a]][complement[b]][complement[k]]
-                red = reduce_mod(prod)
+                residual = ech.reduce(t.c[complement[a]][complement[b]][complement[k]])
+                red = tuple(residual[j] for j in complement)
                 if not vec_is_zero(red):
                     entries[(a, b, k)] = red
     return TripleSystem.from_entries(q, entries)

@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 from .core import InvalidLTS, TripleSystem, check_axioms
 from .exactla import (
+    Echelon,
     Matrix,
     Subspace,
     ZERO,
     kernel,
-    pivot_columns,
-    solve,
     span,
     subspace_intersect,
+    unit_vec,
     vec,
     vec_is_zero,
+    vec_neg,
 )
 from .lie import Grading, LieAlgebra, bracket, lie_radical
 
@@ -80,10 +81,6 @@ def _flat(m: Matrix):
     return tuple(x for row in m.entries for x in row)
 
 
-def _unit(m: int, i: int):
-    return tuple(ZERO if c != i else 1 for c in range(m))
-
-
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """Build G = M + h with a deterministic basis of h.
 
@@ -97,27 +94,15 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     derivations = {}
     for i in range(n):
         for j in range(i + 1, n):
-            derivations[(i, j)] = inner_derivation(t, _unit(n, i), _unit(n, j))
-    h_basis = []
-    span_rows = []
-    for pair in sorted(derivations):
-        D = derivations[pair]
-        if D.is_zero():
-            continue
-        enlarged = span(span_rows + [_flat(D)], n * n)
-        if enlarged.dim > len(h_basis):
-            span_rows.append(_flat(D))
-            h_basis.append(D)
+            derivations[(i, j)] = inner_derivation(t, unit_vec(n, i), unit_vec(n, j))
+    h = Echelon(n * n)
+    h_basis = [D for _, D in sorted(derivations.items()) if h.insert(_flat(D))]
     h_dim = len(h_basis)
     m = n + h_dim
-    h_solver = (
-        Matrix.from_rows(span_rows, n * n).transpose() if span_rows else Matrix.zeros(n * n, 0)
-    )
+    pad = (ZERO,) * n
 
     def h_coords(D: Matrix):
-        if D.is_zero():
-            return (ZERO,) * h_dim
-        coords = solve(h_solver, _flat(D))
+        coords = h.coords(_flat(D))
         if coords is None:
             raise AssertionError("derivation escaped the span of the chosen basis")
         return coords
@@ -125,26 +110,19 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     entries = {}
     for (i, j), D in derivations.items():
         coords = h_coords(D)
-        v = [ZERO] * m
-        for a, q in enumerate(coords):
-            v[n + a] = q
-        if not vec_is_zero(v):
-            entries[(i, j)] = tuple(v)
+        if not vec_is_zero(coords):
+            entries[(i, j)] = pad + coords
     for a, D in enumerate(h_basis):
         for i in range(n):
             col = D.col(i)
             if not vec_is_zero(col):
                 # stored as [e_i, e_{n+a}] = -[A, X] = -A·e_i
-                entries[(i, n + a)] = tuple(-x for x in col) + (ZERO,) * h_dim
+                entries[(i, n + a)] = vec_neg(col) + (ZERO,) * h_dim
     for a in range(h_dim):
         for b in range(a + 1, h_dim):
-            comm = (h_basis[a] * h_basis[b]).sub(h_basis[b] * h_basis[a])
-            coords = h_coords(comm)
-            v = [ZERO] * m
-            for q, c in enumerate(coords):
-                v[n + q] = c
-            if not vec_is_zero(v):
-                entries[(n + a, n + b)] = tuple(v)
+            coords = h_coords((h_basis[a] * h_basis[b]).sub(h_basis[b] * h_basis[a]))
+            if not vec_is_zero(coords):
+                entries[(n + a, n + b)] = pad + coords
     algebra = LieAlgebra.from_entries(m, entries)
     grading = Grading(tuple([-1] * n + [1] * h_dim))
     return StandardEmbedding(t, algebra, grading, tuple(h_basis), h_dim)
@@ -159,23 +137,13 @@ def is_canonical(e: StandardEmbedding) -> bool:
     g = e.algebra
     m = g.dim
     n = e.source.dim
-    current = span([_unit(m, n + a) for a in range(e.h_dim)], m)
+    current = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
     while not current.is_zero():
         vs = list(current.vectors())
-        pivots = pivot_columns(current.basis, current.dim)
-
-        def residual(v):
-            res = list(v)
-            for idx, p in enumerate(pivots):
-                coeff = res[p]
-                if coeff:
-                    row = current.basis.entries[idx]
-                    res = [x - coeff * y for x, y in zip(res, row)]
-            return res
-
+        residual = Echelon(m, vs).reduce
         conditions = []
         for j in range(m):
-            images = [residual(bracket(g, b, _unit(m, j))) for b in vs]
+            images = [residual(bracket(g, b, unit_vec(m, j))) for b in vs]
             for l in range(m):
                 conditions.append(tuple(img[l] for img in images))
         lam_space = kernel(Matrix.from_rows(conditions, len(vs)))
@@ -200,8 +168,8 @@ def decompose(e: StandardEmbedding) -> Decomposition:
     m = g.dim
     n = e.source.dim
     r = lie_radical(g)
-    m_span = span([_unit(m, i) for i in range(n)], m)
-    h_span = span([_unit(m, n + a) for a in range(e.h_dim)], m)
+    m_span = span([unit_vec(m, i) for i in range(n)], m)
+    h_span = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
     m_part = subspace_intersect(r, m_span)
     h_part = subspace_intersect(r, h_span)
     if m_part.dim + h_part.dim != r.dim:

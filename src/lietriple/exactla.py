@@ -34,16 +34,22 @@ def zero_vec(n: int) -> tuple[Fraction, ...]:
     return (ZERO,) * n
 
 
+def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    """The i-th standard basis vector of rational n-space (0-based)."""
+    return tuple(ONE if c == i else ZERO for c in range(n))
+
+
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y if y else x for x, y in zip(a, b))
 
 
-def vec_scale(q, a):
-    return tuple(q * x for x in a)
+def vec_neg(a):
+    """-a, keeping zero entries as they are (cheaper than negating them)."""
+    return tuple(-x if x else x for x in a)
 
 
 def vec_is_zero(a) -> bool:
@@ -79,9 +85,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> Matrix:
         return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 
@@ -106,17 +109,16 @@ class Matrix:
     def __mul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return Matrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), ZERO)
-                    for j in range(other.cols)
-                )
-                for i in range(self.rows)
-            ),
-        )
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(other_row):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def add(self, other: Matrix) -> Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -133,34 +135,10 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.
-
-    Deterministic: leftmost pivot column, first nonzero row, exact
-    Gauss-Jordan elimination.
-    """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        if p != 1:
-            rows[r] = [x / p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(nrows, ncols, tuple(tuple(row) for row in rows)), r
+    """Reduced row echelon form and rank; the zero rows come last."""
+    basis = Echelon(m.cols, m.entries).subspace().basis
+    zero_rows = ((ZERO,) * m.cols,) * (m.rows - basis.rows)
+    return Matrix(m.rows, m.cols, basis.entries + zero_rows), basis.rows
 
 
 def pivot_columns(reduced: Matrix, rank: int) -> tuple[int, ...]:
@@ -198,17 +176,105 @@ class Subspace:
         return self.basis.entries
 
 
+class Echelon:
+    """Incremental reduced echelon basis of a subspace of rational n-space.
+
+    Every row has pivot entry 1 and a zero in every other row's pivot
+    column, so the coefficient of row i in a vector of the span is simply
+    the vector's entry at pivot i, and one pass over the rows reduces a
+    vector modulo the span.  Each row also keeps its coordinates with
+    respect to the inserted vectors that were independent (those for which
+    ``insert`` returned True, in insertion order); ``coords`` combines them.
+    """
+
+    def __init__(self, ambient_dim: int, vectors=()):
+        self.ambient_dim = ambient_dim
+        self.pivots: list[int] = []
+        self._rows: list[list[Fraction]] = []
+        self._support: list[list[int]] = []  # nonzero columns of each row
+        self._coords: list[dict[int, Fraction]] = []
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v):
+        v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        residual = list(v)
+        for p, row, support in zip(self.pivots, self._rows, self._support):
+            c = v[p]  # other rows vanish at p, so the residual still holds v[p] here
+            if c:
+                for j in support:
+                    residual[j] -= c * row[j]
+        return v, residual
+
+    def _combine(self, v) -> dict[int, Fraction]:
+        """Sum over the rows of v[pivot] times the row's coordinates."""
+        out: dict[int, Fraction] = {}
+        for p, w in zip(self.pivots, self._coords):
+            c = v[p]
+            if c:
+                for a, x in w.items():
+                    out[a] = out.get(a, ZERO) + c * x
+        return out
+
+    def reduce(self, v) -> tuple[Fraction, ...]:
+        """Residual of v modulo the span; zero exactly when v is in the span."""
+        return tuple(self._reduce(v)[1])
+
+    def coords(self, v) -> tuple[Fraction, ...] | None:
+        """Coordinates of v with respect to the independent inserted vectors,
+        or None when v lies outside the span."""
+        v, residual = self._reduce(v)
+        if any(residual):
+            return None
+        w = self._combine(v)
+        return tuple(w.get(a, ZERO) for a in range(self.rank))
+
+    def insert(self, v) -> bool:
+        """Add v to the span; False (and no change) when v already lies in it."""
+        v, residual = self._reduce(v)
+        support = [j for j, x in enumerate(residual) if x]
+        if not support:
+            return False
+        p = support[0]
+        # residual = v - sum v[p_i]·row_i, and v is the next inserted vector
+        w = {a: -x for a, x in self._combine(v).items()}
+        w[self.rank] = ONE
+        lead = residual[p]
+        if lead != 1:
+            for j in support:
+                residual[j] /= lead
+            w = {a: x / lead for a, x in w.items()}
+        for i, row in enumerate(self._rows):
+            f = row[p]
+            if f:
+                for j in support:
+                    row[j] -= f * residual[j]
+                self._support[i] = [j for j, x in enumerate(row) if x]
+                wi = self._coords[i]
+                for a, x in w.items():
+                    wi[a] = wi.get(a, ZERO) - f * x
+        self.pivots.append(p)
+        self._rows.append(residual)
+        self._support.append(support)
+        self._coords.append(w)
+        return True
+
+    def subspace(self) -> Subspace:
+        """The span as a canonical (RREF) subspace."""
+        order = sorted(range(self.rank), key=self.pivots.__getitem__)
+        rows = tuple(tuple(self._rows[i]) for i in order)
+        return Subspace(self.ambient_dim, Matrix(len(rows), self.ambient_dim, rows))
+
+
 def span(vectors, ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given coordinate vectors."""
-    vectors = [vec(v) for v in vectors]
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-    nonzero = [v for v in vectors if not vec_is_zero(v)]
-    if not nonzero:
-        return Subspace(ambient_dim, Matrix.zeros(0, ambient_dim))
-    reduced, rank = rref(Matrix.from_rows(nonzero))
-    return Subspace(ambient_dim, Matrix(rank, ambient_dim, reduced.entries[:rank]))
+    return Echelon(ambient_dim, vectors).subspace()
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -248,18 +314,12 @@ def subspace_contains(a: Subspace, v) -> bool:
     v = vec(v)
     if len(v) != a.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    residual = list(v)
-    pivots = pivot_columns(a.basis, a.dim)
-    for i, p in enumerate(pivots):
-        coeff = residual[p]
-        if coeff:
-            row = a.basis.entries[i]
-            residual = [x - coeff * y for x, y in zip(residual, row)]
-    return all(x == 0 for x in residual)
+    return not any(Echelon(a.ambient_dim, a.vectors()).reduce(v))
 
 
 def subspace_le(a: Subspace, b: Subspace) -> bool:
-    return all(subspace_contains(b, v) for v in a.vectors())
+    ech = Echelon(b.ambient_dim, b.vectors())
+    return not any(any(ech.reduce(v)) for v in a.vectors())
 
 
 def kernel(m: Matrix) -> Subspace:

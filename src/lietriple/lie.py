@@ -7,19 +7,21 @@ from a graded algebra back to a triple system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import TripleSystem
 from .exactla import (
+    Echelon,
     Matrix,
     Subspace,
     ZERO,
     full_subspace,
     kernel,
     span,
+    unit_vec,
     vec,
     vec_is_zero,
+    vec_neg,
     zero_vec,
 )
 
@@ -43,7 +45,7 @@ class LieAlgebra:
             if not vec_is_zero(self.f[i][i]):
                 raise ValueError(f"[e{i + 1},e{i + 1}] must vanish")
             for j in range(i + 1, m):
-                if self.f[i][j] != tuple(-x for x in self.f[j][i]):
+                if self.f[i][j] != vec_neg(self.f[j][i]):
                     raise ValueError(f"brackets not antisymmetric at ({i + 1},{j + 1})")
 
     @staticmethod
@@ -57,7 +59,7 @@ class LieAlgebra:
             if len(v) != dim:
                 raise ValueError("coordinate vector length mismatch")
             f[i][j] = list(v)
-            f[j][i] = [-x for x in v]
+            f[j][i] = vec_neg(v)
         frozen = tuple(tuple(tuple(x for x in v) for v in fi) for fi in f)
         return LieAlgebra(dim, frozen)
 
@@ -157,29 +159,24 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     return JacobiVerdict(True)
 
 
-def _basis(m: int, i: int):
-    v = [ZERO] * m
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
 def _series(g: LieAlgebra, lower_central: bool) -> tuple[Subspace, ...]:
     m = g.dim
     terms = [full_subspace(m)]
     while True:
         cur = terms[-1]
-        prods = []
+        vs = cur.vectors()
         if lower_central:
-            for i in range(m):
-                for b in cur.vectors():
-                    prods.append(bracket(g, _basis(m, i), b))
+            pairs = ((unit_vec(m, i), b) for i in range(m) for b in vs)
         else:
-            vs = cur.vectors()
             # antisymmetry: pairs with a <= b contribute nothing new
-            for ai in range(len(vs)):
-                for bi in range(ai + 1, len(vs)):
-                    prods.append(bracket(g, vs[ai], vs[bi]))
-        nxt = span(prods, m)
+            pairs = ((vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
+        ech = Echelon(m)
+        for x, y in pairs:
+            ech.insert(bracket(g, x, y))
+            # [S, S] and [G, S] lie in S: at full rank the next term is S
+            if ech.rank == cur.dim:
+                break
+        nxt = ech.subspace()
         terms.append(nxt)
         if nxt.is_zero() or nxt == cur:
             break
@@ -198,10 +195,6 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
 
 def is_solvable(g: LieAlgebra) -> bool:
     return lie_derived_series(g)[-1].is_zero()
-
-
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g)[-1].is_zero()
 
 
 @lru_cache(maxsize=256)
@@ -322,7 +315,7 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
         for b in range(a + 1, n):
             inner = g.f[minus[a]][minus[b]]
             for k in range(n):
-                double = bracket(g, inner, _basis(g.dim, minus[k]))
+                double = bracket(g, inner, unit_vec(g.dim, minus[k]))
                 coords = tuple(double[minus[l]] for l in range(n))
                 # parity guarantees the plus-part of the double bracket vanishes
                 if not vec_is_zero(coords):

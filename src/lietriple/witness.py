@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _witness_py
-from .core import TripleSystem
+from .core import TripleSystem, common_denominator
 from .exactla import Matrix
 
 if os.environ.get("LIETRIPLE_PURE") == "1":
@@ -67,18 +67,6 @@ def value_prefix(stage: int) -> list[Fraction]:
     return out
 
 
-def _tensor_int(t: TripleSystem):
-    """Common denominator and integer-scaled tensor entries."""
-    den = 1
-    for i in range(t.dim):
-        for j in range(t.dim):
-            for k in range(t.dim):
-                for x in t.c[i][j][k]:
-                    if x:
-                        den = lcm(den, x.denominator)
-    return den
-
-
 def _stage_fits_int64(n, max_a, max_b, da, db, vals_scaled, scale, n_entries):
     max_t = max((abs(v) for v in vals_scaled), default=0)
     if max_t == 0:
@@ -97,8 +85,8 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     if a.dim != b.dim:
         return None
     n = a.dim
-    da = _tensor_int(a)
-    db = _tensor_int(b)
+    da = common_denominator(a)
+    db = common_denominator(b)
     a_entries = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -4,18 +4,20 @@ from fractions import Fraction
 import pytest
 
 from lietriple.exactla import (
+    Echelon,
     Matrix,
     SingularMatrix,
     inverse,
     kernel,
     rref,
+    solve,
     span,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
     zero_subspace,
 )
-from util import random_matrix
+from util import random_matrix, random_rational
 
 
 def rows(m):
@@ -137,3 +139,67 @@ def test_subspace_ops_reject_ambient_mismatch():
         subspace_intersect(a, b)
     with pytest.raises(ValueError):
         subspace_contains(a, (1, 0, 0))
+
+
+def _random_rows(rng, count, n):
+    """Random rational rows, some of them combinations of earlier ones."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            coefs = [random_rational(rng) for _ in out]
+            out.append(tuple(sum((c * v[j] for c, v in zip(coefs, out)), Fraction(0)) for j in range(n)))
+        else:
+            out.append(random_matrix(rng, 1, n).entries[0])
+    return out
+
+
+def test_echelon_agrees_with_span_and_solve():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        vectors = _random_rows(rng, rng.randint(0, 7), n)
+        ech = Echelon(n)
+        kept = [v for v in vectors if ech.insert(v)]
+        assert ech.rank == len(kept)
+        assert ech.subspace() == span(vectors, n)
+        if not kept:
+            continue
+        basis = Matrix.from_rows(kept).transpose()
+        for _ in range(3):
+            coefs = [random_rational(rng) for _ in kept]
+            v = basis.matvec(coefs)
+            assert ech.coords(v) == tuple(coefs) == solve(basis, v)
+            assert not any(ech.reduce(v))
+
+
+def test_echelon_insert_of_dependent_vector_is_rejected():
+    ech = Echelon(3)
+    assert ech.insert((1, 2, 0))
+    assert ech.insert((0, 1, 1))
+    assert not ech.insert((2, 5, 1))
+    assert not ech.insert((0, 0, 0))
+    assert ech.rank == 2
+    assert ech.coords((2, 5, 1)) == (2, 1)
+
+
+def test_echelon_coords_off_the_span_and_of_zero():
+    ech = Echelon(3, [(1, 2, 0), (0, 1, 1)])
+    assert ech.coords((0, 0, 1)) is None
+    assert any(ech.reduce((0, 0, 1)))
+    assert ech.coords((0, 0, 0)) == (0, 0)
+    assert Echelon(2).coords((0, 0)) == ()
+    assert Echelon(2).coords((1, 0)) is None
+    with pytest.raises(ValueError):
+        ech.insert((1, 0))
+
+
+def test_matrix_product_matches_dense_definition():
+    rng = random.Random(29)
+    for _ in range(30):
+        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        b = random_matrix(rng, a.cols, rng.randint(1, 4))
+        dense = [
+            [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert rows(a * b) == dense
