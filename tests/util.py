@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from lietriple.core import TripleSystem
 from lietriple.exactla import Matrix, determinant
 
 
@@ -24,8 +25,6 @@ def random_invertible(rng, n, lo=-3, hi=3, dens=(1, 2)):
 
 def sphere_system(k):
     """(x, y, z) = <x,z> y - <y,z> x on Q^k with the standard inner product."""
-    from lietriple.core import TripleSystem
-
     entries = {}
     for a in range(k):
         for b in range(a + 1, k):
