@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .core import InvalidLTS, TripleSystem, check_axioms, derived_series, lts_center, transform
+from .core import TripleSystem, derived_series, lts_center, transform
 from .embed import decompose, is_canonical, standard_embedding
 from .exactla import Matrix, full_subspace
 from .lie import (
@@ -61,12 +61,6 @@ class IsoResult:
     separator: str | None = None
 
 
-def _require_valid(t: TripleSystem):
-    verdict = check_axioms(t)
-    if not verdict:
-        raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
-
-
 def fingerprint(t: TripleSystem) -> Fingerprint:
     """All invariants, computed exactly from one standard embedding."""
     # standard_embedding verifies the axioms (raising InvalidLTS), so no
@@ -99,51 +93,50 @@ def first_separator(a: Fingerprint, b: Fingerprint) -> str | None:
     return None
 
 
+def _witness(a: TripleSystem, b: TripleSystem, budget: int) -> IsoResult:
+    """Witness step for fingerprint-tied systems: the identity for equal
+    tensors, else the bounded search, whose hit is verified by an exact
+    transform before being returned."""
+    if a.c == b.c:
+        return IsoResult("isomorphic", Matrix.identity(a.dim))
+    T = search_witness(a, b, budget)
+    if T is None:
+        return IsoResult("unknown")
+    if transform(a, T).c != b.c:
+        raise AssertionError("search returned a non-witness")
+    return IsoResult("isomorphic", T)
+
+
 def isomorphic(a: TripleSystem, b: TripleSystem, budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
     """Three-valued isomorphism test.
 
-    Distinct fingerprints give a certified negative with the separating
-    field named.  Otherwise a deterministic search for a basis-change
-    witness runs up to ``budget`` invertible candidates; a hit is verified
-    by an exact transform before being returned.
+    Both systems are validated (a first) by their fingerprints' standard
+    embeddings.  Distinct fingerprints give a certified negative with the
+    separating field named.  Otherwise a deterministic search for a
+    basis-change witness runs up to ``budget`` invertible candidates.
     """
-    _require_valid(a)
-    _require_valid(b)
-    if a.dim == b.dim and a.c == b.c:
-        return IsoResult("isomorphic", Matrix.identity(a.dim))
-    fa, fb = fingerprint(a), fingerprint(b)
-    sep = first_separator(fa, fb)
+    sep = first_separator(fingerprint(a), fingerprint(b))
     if sep is not None:
         return IsoResult("non_isomorphic", separator=sep)
-    T = search_witness(a, b, budget)
-    if T is not None:
-        if transform(a, T).c != b.c:
-            raise AssertionError("search returned a non-witness")
-        return IsoResult("isomorphic", T)
-    return IsoResult("unknown")
+    return _witness(a, b, budget)
 
 
 def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str]:
     """Labels of catalog entries the system can be: equal fingerprint,
     refined by the bounded isomorphism search where that is conclusive.
 
-    An empty list means no catalog entry shares the fingerprint.  Several
-    labels mean the fingerprint (and search, within budget) could not
-    separate the tie; the order follows the catalog.
+    The input's fingerprint is computed once and compared with the frozen
+    catalog fingerprints.  An empty list means no catalog entry shares
+    it.  Several labels mean the fingerprint (and search, within budget)
+    could not separate the tie; the order follows the catalog.
     """
     from . import catalog
 
     if t.dim not in (2, 3):
         raise UnsupportedDimension("classification covers dimensions 2 and 3 only")
-    _require_valid(t)
     fp = fingerprint(t)
     candidates = [e for e in catalog.all_entries() if e.expected == fp]
     if len(candidates) <= 1:
         return [e.label for e in candidates]
-    hits = []
-    for e in candidates:
-        if isomorphic(t, e.system, budget).verdict == "isomorphic":
-            hits.append(e.label)
-    if hits:
-        return hits
-    return [e.label for e in candidates]
+    hits = [e.label for e in candidates if _witness(t, e.system, budget).verdict == "isomorphic"]
+    return hits or [e.label for e in candidates]

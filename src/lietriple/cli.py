@@ -171,6 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
+        return value
+
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
@@ -198,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("iso", cmd_iso, "test two files for isomorphism")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--budget", type=int, default=DEFAULT_ISO_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_ISO_BUDGET)
 
     p = add("catalog", cmd_catalog, "list catalog labels or dump one entry")
     group = p.add_mutually_exclusive_group(required=True)
@@ -217,8 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ParseError as exc:

@@ -39,10 +39,6 @@ def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(ONE if c == i else ZERO for c in range(n))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y if y else x for x, y in zip(a, b))
 
@@ -119,11 +115,6 @@ class Matrix:
                             acc[j] += a * b
             out.append(tuple(acc))
         return Matrix(self.rows, other.cols, tuple(out))
-
-    def add(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return Matrix(self.rows, self.cols, tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def sub(self, other: Matrix) -> Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):

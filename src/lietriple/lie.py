@@ -193,10 +193,6 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     return _series(g, lower_central=True)
 
 
-def is_solvable(g: LieAlgebra) -> bool:
-    return lie_derived_series(g)[-1].is_zero()
-
-
 @lru_cache(maxsize=256)
 def killing_form(g: LieAlgebra) -> Matrix:
     """K[i][j] = trace(ad e_i ∘ ad e_j), computed from the sparse brackets."""

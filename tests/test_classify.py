@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from lietriple.classify import (
     first_separator,
     isomorphic,
 )
-from lietriple.core import TripleSystem, check_axioms, transform
+from lietriple.core import InvalidLTS, TripleSystem, check_axioms, transform
 from lietriple.exactla import Matrix
 from lietriple.lie import KillingSignature
 from lietriple.witness import level_values, search_witness, value_prefix
@@ -179,10 +180,65 @@ def test_classify_rejects_unsupported_dimension():
         classify(TripleSystem.abelian(4))
 
 
+CYCLIC_BAD = TripleSystem.from_entries(3, {(0, 1, 2): (1, 0, 0)})
+CYCLIC_MSG = r"cyclic identity violated at \(1, 2, 3\)"
+DERIVATION_BAD = TripleSystem.from_entries(2, {(0, 1, 0): (1, 0)})
+DERIVATION_MSG = r"derivation identity violated at \(1, 2, 1, 2, 1\)"
+
+
 def test_classify_rejects_invalid():
-    bad = TripleSystem.from_entries(3, {(0, 1, 2): (1, 0, 0)})
-    with pytest.raises(Exception):
-        classify(bad)
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        classify(CYCLIC_BAD)
+
+
+def test_iso_rejects_invalid_before_identity_shortcut():
+    # equal tensors would otherwise be answered "isomorphic" by the identity
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        isomorphic(CYCLIC_BAD, CYCLIC_BAD)
+
+
+def test_iso_rejects_invalid_on_either_side(by_label):
+    valid = by_label["dim3-II"].system
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        isomorphic(valid, CYCLIC_BAD)
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        isomorphic(CYCLIC_BAD, valid)
+
+
+def test_iso_reports_the_first_invalid_argument():
+    with pytest.raises(InvalidLTS, match=DERIVATION_MSG):
+        isomorphic(DERIVATION_BAD, CYCLIC_BAD)
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        isomorphic(CYCLIC_BAD, DERIVATION_BAD)
+
+
+def _count_calls(monkeypatch, func):
+    """Replace every binding of func in the lietriple modules by a wrapper
+    that records each call; returns the list of records."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "lietriple" or name.startswith("lietriple.")):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_each_input_is_validated_and_fingerprinted_once(by_label, monkeypatch):
+    changed = transform(by_label["dim3-III+"].system, Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    checks = _count_calls(monkeypatch, check_axioms)
+    fingerprints = _count_calls(monkeypatch, fingerprint)
+    assert classify(changed) == ["dim3-III+", "dim3-IV+"]
+    assert (len(checks), len(fingerprints)) == (1, 1)
+    del checks[:], fingerprints[:]
+    r = isomorphic(by_label["dim3-III+"].system, by_label["dim3-IV+"].system)
+    assert r.verdict == "isomorphic"
+    assert (len(checks), len(fingerprints)) == (2, 2)
 
 
 def test_all_pairs_fingerprint_table(entries):

@@ -147,6 +147,30 @@ def test_iso_unknown_exit_3(capsys, tmp_path):
     assert out == "unknown\n"
 
 
+def test_usage_errors_exit_1(capsys, tmp_path):
+    a = dump(tmp_path, "dim2-2", "a.lts")
+    b = dump(tmp_path, "dim2-3", "b.lts")
+    for argv in (["iso", a, b, "--budget", "x"], ["frobnicate"], []):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage: "), argv
+
+
+def test_iso_negative_budget_is_usage_error(capsys, tmp_path):
+    a = dump(tmp_path, "dim2-2", "a.lts")
+    b = dump(tmp_path, "dim2-3", "b.lts")
+    code, out, err = run(capsys, "iso", a, b, "--budget", "-5")
+    assert (code, out) == (1, "")
+    assert "--budget: must be non-negative: -5" in err
+
+
+def test_help_exit_0(capsys):
+    for argv in (["--help"], ["iso", "--help"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out.startswith("usage: lietriple"), argv
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "--list")
     assert code == 0
