@@ -133,19 +133,6 @@ def triple_product(t: TripleSystem, x, y, z):
     return tuple(out)
 
 
-def _product_vbb(t: TripleSystem, v, j: int, k: int):
-    """(v, e_j, e_k) for a coordinate vector v."""
-    n = t.dim
-    out = [ZERO] * n
-    for i, vi in enumerate(v):
-        if vi:
-            w = t.c[i][j][k]
-            for l in range(n):
-                if w[l]:
-                    out[l] += vi * w[l]
-    return tuple(out)
-
-
 def common_denominator(t: TripleSystem) -> int:
     """Least common denominator of all structure constants."""
     d = 1
@@ -251,10 +238,11 @@ def is_ideal(t: TripleSystem, d: Subspace) -> bool:
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     ech = Echelon(t.dim, d.vectors())
+    units = [unit_vec(t.dim, j) for j in range(t.dim)]
     for v in d.vectors():
-        for j in range(t.dim):
-            for k in range(t.dim):
-                if any(ech.reduce(_product_vbb(t, v, j, k))):
+        for y in units:
+            for z in units:
+                if any(ech.reduce(triple_product(t, v, y, z))):
                     return False
     return True
 

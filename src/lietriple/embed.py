@@ -147,15 +147,7 @@ def is_canonical(e: StandardEmbedding) -> bool:
             for l in range(m):
                 conditions.append(tuple(img[l] for img in images))
         lam_space = kernel(Matrix.from_rows(conditions, len(vs)))
-        nxt_vectors = []
-        for lam in lam_space.vectors():
-            v = [ZERO] * m
-            for coef, b in zip(lam, vs):
-                if coef:
-                    for l in range(m):
-                        v[l] += coef * b[l]
-            nxt_vectors.append(tuple(v))
-        nxt = span(nxt_vectors, m)
+        nxt = span([current.basis.vecmat(lam) for lam in lam_space.vectors()], m)
         if nxt == current:
             return False
         current = nxt

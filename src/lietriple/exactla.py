@@ -132,18 +132,6 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix(m.rows, m.cols, basis.entries + zero_rows), basis.rows
 
 
-def pivot_columns(reduced: Matrix, rank: int) -> tuple[int, ...]:
-    """Pivot column indices of a matrix already in RREF."""
-    pivots = []
-    for i in range(rank):
-        row = reduced.entries[i]
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    return tuple(pivots)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of rational n-space in canonical (RREF basis) form.
@@ -283,21 +271,18 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the left null space of the stacked bases.
+    """Intersection by the Zassenhaus reduction.
 
-    x_a·A + x_b·B = 0 exactly when x_a·A = -x_b·B lies in both row spaces.
+    The rows (x | x) for x in a and (y | 0) for y in b span the pairs
+    (x + y | x); those with x + y = 0 are exactly (0 | z) for z in a ∩ b,
+    and the echelon rows with pivot in the second half span them.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.is_zero() or b.is_zero():
-        return zero_subspace(a.ambient_dim)
-    stacked = Matrix.from_rows(list(a.vectors()) + list(b.vectors()))
-    left_null = kernel(stacked.transpose())
-    vecs = []
-    for x in left_null.vectors():
-        xa = x[: a.dim]
-        vecs.append(a.basis.vecmat(xa))
-    return span(vecs, a.ambient_dim)
+    n = a.ambient_dim
+    pad = (ZERO,) * n
+    ech = Echelon(2 * n, [x + x for x in a.vectors()] + [y + pad for y in b.vectors()])
+    return span([row[n:] for p, row in zip(ech.pivots, ech._rows) if p >= n], n)
 
 
 def subspace_contains(a: Subspace, v) -> bool:
@@ -315,15 +300,17 @@ def subspace_le(a: Subspace, b: Subspace) -> bool:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank."""
-    reduced, rank = rref(m)
-    pivots = pivot_columns(reduced, rank)
-    free = [j for j in range(m.cols) if j not in pivots]
+    ech = Echelon(m.cols)
+    for r in m.entries:
+        if ech.rank == m.cols:
+            break
+        ech.insert(r)
     basis_vecs = []
-    for f in free:
+    for f in sorted(set(range(m.cols)) - set(ech.pivots)):
         v = [ZERO] * m.cols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i][f]
+        for p, row in zip(ech.pivots, ech._rows):
+            v[p] = -row[f]
         basis_vecs.append(tuple(v))
     return span(basis_vecs, m.cols)
 
@@ -333,16 +320,15 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    aug = Matrix.from_rows([list(m.entries[i]) + [b[i]] for i in range(m.rows)]) if m.rows else None
-    if aug is None:
-        return zero_vec(m.cols)
-    reduced, rank = rref(aug)
-    pivots = pivot_columns(reduced, rank)
-    if m.cols in pivots:  # pivot in the augmented column: inconsistent
+    # the columns kept by a left-to-right insert are the pivot columns
+    ech = Echelon(m.rows)
+    pivots = [j for j in range(m.cols) if ech.insert(m.col(j))]
+    coords = ech.coords(b)
+    if coords is None:
         return None
     x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.entries[i][m.cols]
+    for p, c in zip(pivots, coords):
+        x[p] = c
     return tuple(x)
 
 
@@ -351,37 +337,8 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise SingularMatrix("matrix is not square")
     n = m.rows
-    aug = Matrix.from_rows(
-        [list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    )
-    reduced, rank = rref(aug)
-    if rank < n or pivot_columns(reduced, rank)[:n] != tuple(range(n)):
+    ech = Echelon(n, m.entries)
+    if ech.rank < n:
         raise SingularMatrix("matrix is singular")
-    return Matrix.from_rows([reduced.entries[i][n:] for i in range(n)])
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = [list(r) for r in m.entries]
-    det = ONE
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        p = rows[col][col]
-        det *= p
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
+    # row k of the inverse holds the coefficients of e_k over the rows of m
+    return Matrix(n, n, tuple(ech.coords(unit_vec(n, k)) for k in range(n)))

@@ -30,6 +30,15 @@ from .lie import Grading, LieAlgebra
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
 
+# The largest dimensions a header may declare.  A parser allocates the dense
+# tensor (n^4 slots for LTS n, m^3 for LIE m) from the header alone, so larger
+# headers are refused before any allocation.  MAX_LIE_DIM is n + n(n-1)/2 for
+# n = MAX_LTS_DIM, the largest standard embedding of an accepted system, so
+# every embedding written by ``embed -o`` parses back.
+MAX_LTS_DIM = 12
+MAX_LIE_DIM = MAX_LTS_DIM + MAX_LTS_DIM * (MAX_LTS_DIM - 1) // 2
+
+
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -58,6 +67,22 @@ def _content_lines(text: str):
         yield line_no, line
 
 
+def _header(it, word: str, letter: str, limit: int) -> int:
+    """The dimension declared by the leading '<word> <letter>' line."""
+    try:
+        line_no, header = next(it)
+    except StopIteration:
+        raise ParseError(1, f"missing {word} header") from None
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != word or not (parts[1].isascii() and parts[1].isdigit()):
+        raise ParseError(line_no, f"expected header '{word} {letter}'")
+    digits = parts[1].lstrip("0") or "0"
+    # compare lengths first: int() refuses more than a few thousand digits
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise ParseError(line_no, f"{word} dimension above the limit of {limit}")
+    return int(digits)
+
+
 def serialize_lts(t: TripleSystem) -> str:
     lines = [f"LTS {t.dim}"]
     for i in range(t.dim):
@@ -72,14 +97,7 @@ def serialize_lts(t: TripleSystem) -> str:
 
 def parse_lts(text: str) -> TripleSystem:
     it = _content_lines(text)
-    try:
-        line_no, header = next(it)
-    except StopIteration:
-        raise ParseError(1, "missing LTS header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "LTS" or not parts[1].isdigit():
-        raise ParseError(line_no, "expected header 'LTS n'")
-    n = int(parts[1])
+    n = _header(it, "LTS", "n", MAX_LTS_DIM)
     entries: dict = {}
     seen = set()
     for line_no, line in it:
@@ -124,14 +142,7 @@ def serialize_lie(g: LieAlgebra, grading: Grading | None = None) -> str:
 
 def parse_lie(text: str) -> tuple[LieAlgebra, Grading | None]:
     it = _content_lines(text)
-    try:
-        line_no, header = next(it)
-    except StopIteration:
-        raise ParseError(1, "missing LIE header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "LIE" or not parts[1].isdigit():
-        raise ParseError(line_no, "expected header 'LIE m'")
-    m = int(parts[1])
+    m = _header(it, "LIE", "m", MAX_LIE_DIM)
     grading = None
     entries: dict = {}
     seen = set()

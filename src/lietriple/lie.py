@@ -7,7 +7,6 @@ from a graded algebra back to a triple system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import TripleSystem
 from .exactla import (
@@ -193,21 +192,17 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     return _series(g, lower_central=True)
 
 
-@lru_cache(maxsize=256)
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad e_i ∘ ad e_j), computed from the sparse brackets."""
+    """K[i][j] = trace(ad e_i ∘ ad e_j), summed over the nonzero brackets only."""
     m = g.dim
+    # (k, l, x): [e_i, e_k] has the nonzero coordinate x on e_l
+    nonzero = [[(k, l, x) for k, v in enumerate(fi) for l, x in enumerate(v) if x] for fi in g.f]
     K = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            s = ZERO
-            for k in range(m):
-                v = g.f[i][k]
-                for l in range(m):
-                    if v[l] and g.f[j][l][k]:
-                        s += v[l] * g.f[j][l][k]
-            K[i][j] = s
-            K[j][i] = s
+            fj = g.f[j]
+            s = sum((x * fj[l][k] for k, l, x in nonzero[i] if fj[l][k]), ZERO)
+            K[i][j] = K[j][i] = s
     return Matrix.from_rows(K)
 
 
@@ -264,10 +259,7 @@ def lie_radical(g: LieAlgebra) -> Subspace:
     if derived.is_zero():
         return full_subspace(m)
     K = killing_form(g)
-    rows = []
-    for d in derived.vectors():
-        rows.append(tuple(sum((d[k] * K.entries[k][j] for k in range(m) if d[k]), ZERO) for j in range(m)))
-    return kernel(Matrix.from_rows(rows))
+    return kernel(Matrix.from_rows([K.vecmat(d) for d in derived.vectors()]))
 
 
 def lie_center(g: LieAlgebra) -> Subspace:

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,16 @@ def test_every_entry_passes_axioms(entries):
 def test_expected_fingerprints_are_current(entries):
     for e in entries:
         assert fingerprint(e.system) == e.expected, e.label
+
+
+def test_freeze_tool_renders_committed_catalog_data():
+    root = Path(__file__).resolve().parents[1]
+    tool = root / "tools" / "freeze_fingerprints.py"
+    spec = importlib.util.spec_from_file_location("freeze_fingerprints", tool)
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    committed = (root / "src" / "lietriple" / "catalog_data.py").read_text()
+    assert freeze.render() == committed
 
 
 def test_from_symmetric_form_values():

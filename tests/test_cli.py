@@ -33,6 +33,14 @@ def test_check_parse_error_exit_1(capsys, tmp_path):
     assert "line 2" in err and "i<j required" in err
 
 
+def test_check_huge_header_exit_1(capsys, tmp_path):
+    path = tmp_path / "huge.lts"
+    path.write_text("LTS 100000\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert "line 1" in err and "above the limit" in err
+
+
 def test_check_axiom_violation_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.lts"
     path.write_text("LTS 3\n1 2 3 1 1\n")

@@ -14,10 +14,11 @@ from lietriple.exactla import (
     span,
     subspace_contains,
     subspace_intersect,
+    subspace_le,
     subspace_sum,
     zero_subspace,
 )
-from util import random_matrix, random_rational
+from util import random_invertible, random_matrix, random_rational
 
 
 def rows(m):
@@ -121,8 +122,74 @@ def test_inverse_round_trip_and_singular():
     m = Matrix.from_rows([[1, 2], [3, 5]])
     inv = inverse(m)
     assert m * inv == Matrix.identity(2)
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="^matrix is singular$"):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(SingularMatrix, match="^matrix is not square$"):
+        inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    rng = random.Random(19)
+    for n in range(1, 6):
+        m = random_invertible(rng, n)
+        inv = inverse(m)
+        assert m * inv == inv * m == Matrix.identity(n)
+        with pytest.raises(SingularMatrix, match="^matrix is singular$"):
+            inverse(random_matrix(rng, n, n - 1) * random_matrix(rng, n - 1, n))
+
+
+def _low_rank(rng, rows, cols, rank):
+    return random_matrix(rng, rows, rank) * random_matrix(rng, rank, cols)
+
+
+def _rank(m):
+    return rref(m)[1]
+
+
+def test_kernel_on_tall_wide_rank_deficient_and_zero_row_matrices():
+    rng = random.Random(37)
+    for _ in range(15):
+        cases = [
+            random_matrix(rng, 5, 2),
+            random_matrix(rng, 2, 5),
+            _low_rank(rng, 4, 4, rng.randint(0, 3)),
+            _low_rank(rng, 2, 5, rng.randint(0, 1)),
+            Matrix.zeros(0, rng.randint(1, 4)),
+        ]
+        for m in cases:
+            k = kernel(m)
+            assert k.dim == m.cols - _rank(m)
+            for v in k.vectors():
+                assert not any(m.matvec(v))
+
+
+def test_solve_on_rank_deficient_wide_systems():
+    rng = random.Random(41)
+    for _ in range(40):
+        rows, cols = rng.randint(2, 4), rng.randint(4, 6)
+        m = _low_rank(rng, rows, cols, rng.randint(0, rows - 1))
+        prefix_ranks = [
+            _rank(Matrix.from_rows([r[:j] for r in m.entries], j)) for j in range(cols + 1)
+        ]
+        non_pivot = [j for j in range(cols) if prefix_ranks[j + 1] == prefix_ranks[j]]
+        b = m.matvec([random_rational(rng) for _ in range(cols)])
+        x = solve(m, b)
+        assert m.matvec(x) == b
+        assert all(x[j] == 0 for j in non_pivot)
+        # rank < rows: y·m = 0 for some y != 0, and y·(b + y) = y·y != 0
+        y = kernel(m.transpose()).vectors()[0]
+        assert solve(m, tuple(p + q for p, q in zip(b, y))) is None
+
+
+def test_subspace_intersect_against_membership_in_both_inputs():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        common = _random_rows(rng, rng.randint(0, 2), n)
+        a = span(common + _random_rows(rng, rng.randint(0, n), n), n)
+        b = span(common + _random_rows(rng, rng.randint(0, n), n), n)
+        i = subspace_intersect(a, b)
+        for v in i.vectors():
+            assert subspace_contains(a, v) and subspace_contains(b, v)
+        assert subspace_le(span(common, n), i)
+        assert i.dim == a.dim + b.dim - subspace_sum(a, b).dim
 
 
 def test_matrix_requires_consistent_shape():

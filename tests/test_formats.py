@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from lietriple.core import TripleSystem, transform
 from lietriple.formats import (
+    MAX_LIE_DIM,
+    MAX_LTS_DIM,
     ParseError,
     parse_lie,
     parse_lts,
@@ -90,6 +93,32 @@ def test_parse_lie_grade_handling():
         parse_lie("LIE 2\nGRADE - \n")
     with pytest.raises(ParseError, match="i<j required"):
         parse_lie("LIE 2\n2 2 1 1\n")
+
+
+def test_huge_headers_fail_fast_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 1: LTS dimension above the limit of 12"):
+            parse_lts("LTS 100000\n")
+        with pytest.raises(ParseError, match="line 2: LIE dimension above the limit of 78"):
+            parse_lie("# comment\nLIE 100000\n")
+        with pytest.raises(ParseError, match="above the limit"):
+            parse_lts("LTS " + "9" * 5000 + "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_header_limits_are_inclusive():
+    assert parse_lts(f"LTS {MAX_LTS_DIM}\n").dim == MAX_LTS_DIM
+    assert parse_lie(f"LIE {MAX_LIE_DIM}\n")[0].dim == MAX_LIE_DIM
+    with pytest.raises(ParseError, match="above the limit"):
+        parse_lts(f"LTS {MAX_LTS_DIM + 1}\n")
+    with pytest.raises(ParseError, match="above the limit"):
+        parse_lie(f"LIE {MAX_LIE_DIM + 1}\n")
+    with pytest.raises(ParseError, match="expected header 'LTS n'"):
+        parse_lts("LTS \u00b2\n")  # a digit to str.isdigit, not to int()
 
 
 def test_lts_serialization_of_empty_system():

@@ -21,7 +21,7 @@ from lietriple.lie import (
     lie_to_lts,
     lower_central_series,
 )
-from util import random_invertible
+from util import random_invertible, sphere_system
 
 
 def emb(by_label, label):
@@ -95,6 +95,28 @@ def test_killing_form_symmetric_invariant(entries):
                         K.entries[j][q] * bracket(g, basis[i], basis[k])[q] for q in range(m)
                     )
                     assert lhs + rhs == 0
+
+
+def _dense_killing(g):
+    """K[i][j] = trace(ad e_i ∘ ad e_j), straight from the bracket."""
+    m = g.dim
+    e = [tuple(1 if c == i else 0 for c in range(m)) for i in range(m)]
+    return [
+        [sum(bracket(g, e[i], bracket(g, e[j], e[k]))[k] for k in range(m)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def test_killing_form_matches_dense_trace_definition(entries):
+    from lietriple.core import transform
+
+    rng = random.Random(37)
+    systems = [sphere_system(4)]
+    for e in entries:
+        systems.append(transform(e.system, random_invertible(rng, e.system.dim, lo=-2, hi=2)))
+    for t in systems:
+        g = standard_embedding(t).algebra
+        assert [list(r) for r in killing_form(g).entries] == _dense_killing(g)
 
 
 def test_killing_signature_basis_invariant(by_label):

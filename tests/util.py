@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from lietriple.core import TripleSystem
-from lietriple.exactla import Matrix, determinant
+from lietriple.exactla import Echelon, Matrix
 
 
 def random_rational(rng, lo=-3, hi=3, dens=(1, 2)):
@@ -19,7 +19,7 @@ def random_matrix(rng, rows, cols, lo=-3, hi=3, dens=(1, 2)):
 def random_invertible(rng, n, lo=-3, hi=3, dens=(1, 2)):
     while True:
         m = random_matrix(rng, n, n, lo, hi, dens)
-        if determinant(m) != 0:
+        if Echelon(n, m.entries).rank == n:
             return m
 
 

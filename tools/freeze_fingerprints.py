@@ -21,7 +21,11 @@ EXPECTED_FINGERPRINTS = {
 '''
 
 
-def main():
+OUT = Path(__file__).resolve().parents[1] / "src" / "lietriple" / "catalog_data.py"
+
+
+def render() -> str:
+    """The text of catalog_data.py for the current catalog definitions."""
     lines = [HEADER]
     for label, system, _ref, _notes in _definitions():
         fp = fingerprint(system)
@@ -43,9 +47,12 @@ def main():
         lines.append(f"        canonical={fp.canonical},\n")
         lines.append("    ),\n")
     lines.append("}\n")
-    out = Path(__file__).resolve().parents[1] / "src" / "lietriple" / "catalog_data.py"
-    out.write_text("".join(lines))
-    print(f"wrote {out}")
+    return "".join(lines)
+
+
+def main():
+    OUT.write_text(render())
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
