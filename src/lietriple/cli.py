@@ -32,6 +32,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise _CliError(f"cannot read {path}: byte 0x{byte:02x} at offset {exc.start} is not ASCII") from exc
 
 
 class _CliError(Exception):

@@ -133,8 +133,15 @@ def triple_product(t: TripleSystem, x, y, z):
     return tuple(out)
 
 
-def common_denominator(t: TripleSystem) -> int:
-    """Least common denominator of all structure constants."""
+def integer_tensor(t: TripleSystem):
+    """Least common denominator d and the sparse integer tensor d·c.
+
+    S maps each (i, j, k) with i != j and a nonzero product to the tuple of
+    pairs (l, d·c_ijk^l) over its nonzero coordinates l, in increasing l;
+    S[(j, i, k)] holds the negated pairs.  The keys with i < j are inserted
+    in lexicographic order.
+    """
+    n = t.dim
     d = 1
     for ci in t.c:
         for cij in ci:
@@ -142,16 +149,15 @@ def common_denominator(t: TripleSystem) -> int:
                 for x in v:
                     if x:
                         d = lcm(d, x.denominator)
-    return d
-
-
-def _int_tensor(t: TripleSystem):
-    """Common denominator d and the integer tensor d·c as nested lists."""
-    d = common_denominator(t)
-    A = [
-        [[[int(x * d) if x else 0 for x in v] for v in cij] for cij in ci] for ci in t.c
-    ]
-    return d, A
+    S = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                pairs = tuple((l, int(x * d)) for l, x in enumerate(t.c[i][j][k]) if x)
+                if pairs:
+                    S[(i, j, k)] = pairs
+                    S[(j, i, k)] = tuple((l, -x) for l, x in pairs)
+    return d, S
 
 
 def check_axioms(t: TripleSystem) -> AxiomVerdict:
@@ -166,7 +172,7 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     (i,j,...) one and the (i,i,...) instance zero, so restricting the
     explicit loop to i < j checks the same set and still reports the
     lexicographically first violation.  Both identities are homogeneous in
-    the tensor, so the scan runs on the denominator-cleared integer tensor.
+    the tensor, so the scan runs on the sparse integer tensor.
     """
     n = t.dim
     for i in range(n):
@@ -174,62 +180,46 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
             v = t.c[i][i][k]
             if not vec_is_zero(v):
                 return AxiomVerdict(False, "alternating", (i + 1, i + 1, k + 1), v)
-    d, A = _int_tensor(t)
+    d, S = integer_tensor(t)
+    get = S.get
     rng = range(n)
     for i in rng:
-        Ai = A[i]
         for j in range(i + 1, n):
-            Aij = Ai[j]
-            Aj = A[j]
             for k in rng:
-                x, y, z = Aij[k], Aj[k][i], A[k][i][j]
-                for l in rng:
-                    if x[l] + y[l] + z[l]:
-                        r = tuple(
-                            Fraction(x[q] + y[q] + z[q], d) for q in rng
-                        )
-                        return AxiomVerdict(False, "cyclic", (i + 1, j + 1, k + 1), r)
-    zero_slice = [[all(x == 0 for v in A[i][j] for x in v) for j in rng] for i in rng]
-    dd = d * d
+                r = [0] * n
+                for key in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in get(key, ()):
+                        r[l] += x
+                if any(r):
+                    residual = tuple(Fraction(x, d) for x in r)
+                    return AxiomVerdict(False, "cyclic", (i + 1, j + 1, k + 1), residual)
+    # residual of D = D_{e_i,e_j} on (u, v, w):
+    # D(u,v,w) - (Du,v,w) - (u,Dv,w) - (u,v,Dw), in units of 1/d^2
     for i in rng:
         for j in range(i + 1, n):
-            if zero_slice[i][j]:
+            D = [get((i, j, u), ()) for u in rng]
+            if not any(D):
                 continue
-            Aij = A[i][j]
             for u in rng:
-                Au = A[u]
                 for v in rng:
-                    Auv = Au[v]
-                    cu, cv = Aij[u], Aij[v]
                     for w in rng:
-                        cw, cuvw = Aij[w], Auv[w]
-                        for l in rng:
-                            s = 0
-                            for k in rng:
-                                s += (
-                                    cuvw[k] * Aij[k][l]
-                                    - cu[k] * A[k][v][w][l]
-                                    - cv[k] * Au[k][w][l]
-                                    - cw[k] * Auv[k][l]
-                                )
-                            if s:
-                                residual = []
-                                for q in rng:
-                                    acc = 0
-                                    for k in rng:
-                                        acc += (
-                                            cuvw[k] * Aij[k][q]
-                                            - cu[k] * A[k][v][w][q]
-                                            - cv[k] * Au[k][w][q]
-                                            - cw[k] * Auv[k][q]
-                                        )
-                                    residual.append(Fraction(acc, dd))
-                                return AxiomVerdict(
-                                    False,
-                                    "derivation",
-                                    (i + 1, j + 1, u + 1, v + 1, w + 1),
-                                    tuple(residual),
-                                )
+                        r = [0] * n
+                        for k, x in get((u, v, w), ()):
+                            for l, y in D[k]:
+                                r[l] += x * y
+                        for k, x in D[u]:
+                            for l, y in get((k, v, w), ()):
+                                r[l] -= x * y
+                        for k, x in D[v]:
+                            for l, y in get((u, k, w), ()):
+                                r[l] -= x * y
+                        for k, x in D[w]:
+                            for l, y in get((u, v, k), ()):
+                                r[l] -= x * y
+                        if any(r):
+                            indices = (i + 1, j + 1, u + 1, v + 1, w + 1)
+                            residual = tuple(Fraction(x, d * d) for x in r)
+                            return AxiomVerdict(False, "derivation", indices, residual)
     return AxiomVerdict(True)
 
 

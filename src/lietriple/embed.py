@@ -18,7 +18,6 @@ from .exactla import (
     Matrix,
     Subspace,
     ZERO,
-    kernel,
     span,
     subspace_intersect,
     unit_vec,
@@ -26,7 +25,7 @@ from .exactla import (
     vec_is_zero,
     vec_neg,
 )
-from .lie import Grading, LieAlgebra, bracket, lie_radical
+from .lie import Grading, LieAlgebra, lie_radical, require_grading
 
 
 @dataclass(frozen=True)
@@ -131,27 +130,17 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
 def is_canonical(e: StandardEmbedding) -> bool:
     """True when h contains no nonzero ideal of the algebra.
 
-    Computes the largest ideal inside the h-span by the shrinking fixpoint
-    I_{k+1} = {x in I_k : [x, G] ⊆ I_k} starting from all of h.
+    An ideal I inside h has [I, M] ⊆ I ∩ M = 0, as the grading puts [h, M]
+    in M, and {x in h : [x, M] = 0} is an ideal by the Jacobi identity; so
+    the answer is whether the rows ([e_p, e_i]) over the minus basis i, one
+    for each p in the plus basis, have rank dim h.  Raises InvalidGrading
+    when the grading does not hold.
     """
-    g = e.algebra
-    m = g.dim
-    n = e.source.dim
-    current = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
-    while not current.is_zero():
-        vs = list(current.vectors())
-        residual = Echelon(m, vs).reduce
-        conditions = []
-        for j in range(m):
-            images = [residual(bracket(g, b, unit_vec(m, j))) for b in vs]
-            for l in range(m):
-                conditions.append(tuple(img[l] for img in images))
-        lam_space = kernel(Matrix.from_rows(conditions, len(vs)))
-        nxt = span([current.basis.vecmat(lam) for lam in lam_space.vectors()], m)
-        if nxt == current:
-            return False
-        current = nxt
-    return True
+    g, gr = e.algebra, e.grading
+    require_grading(g, gr)
+    plus, minus = gr.plus_indices, gr.minus_indices
+    rows = [tuple(g.f[p][i][l] for i in minus for l in minus) for p in plus]
+    return Echelon(len(minus) ** 2, rows).rank == len(plus)
 
 
 def decompose(e: StandardEmbedding) -> Decomposition:

@@ -289,13 +289,18 @@ def check_grading(g: LieAlgebra, gr: Grading) -> GradingVerdict:
     return GradingVerdict(True)
 
 
-def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
-    """Triple system (x, y, z) = [[x, y], z] on the minus part of a grading."""
+def require_grading(g: LieAlgebra, gr: Grading) -> None:
+    """Raise InvalidGrading naming the first bracket of wrong parity."""
     verdict = check_grading(g, gr)
     if not verdict:
         raise InvalidGrading(
             f"bracket [e{verdict.indices[0]},e{verdict.indices[1]}] has a component of wrong parity"
         )
+
+
+def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
+    """Triple system (x, y, z) = [[x, y], z] on the minus part of a grading."""
+    require_grading(g, gr)
     minus = gr.minus_indices
     n = len(minus)
     entries = {}

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _witness_py
-from .core import TripleSystem, common_denominator
+from .core import TripleSystem, integer_tensor
 from .exactla import Matrix
 
 if os.environ.get("LIETRIPLE_PURE") == "1":
@@ -85,23 +85,13 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     if a.dim != b.dim:
         return None
     n = a.dim
-    da = common_denominator(a)
-    db = common_denominator(b)
-    a_entries = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                v = a.c[i][j][k]
-                for l in range(n):
-                    if v[l]:
-                        a_entries.append((i, j, k, l, int(v[l] * da)))
-    b_flat = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = b.c[i][j][k]
-                for l in range(n):
-                    b_flat.append(int(v[l] * db))
+    da, sa = integer_tensor(a)
+    db, sb = integer_tensor(b)
+    a_entries = [(i, j, k, l, x) for (i, j, k), pairs in sa.items() if i < j for l, x in pairs]
+    b_flat = [0] * n**4
+    for (i, j, k), pairs in sb.items():
+        for l, x in pairs:
+            b_flat[((i * n + j) * n + k) * n + l] = x
     max_a = max((abs(e[4]) for e in a_entries), default=0)
     max_b = max((abs(x) for x in b_flat), default=0)
 

@@ -285,6 +285,22 @@ def test_search_witness_backend_parity(by_label):
             assert pure == fast
 
 
+@pytest.mark.parametrize(
+    "a, b, n, rows",
+    [
+        ("dim3-III+", "dim3-IV+", 3623, [[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
+        ("dim3-IV+", "dim3-III+", 3587, [[1, 0, 0], [0, 0, 1], [0, 1, -1]]),
+        ("dim3-III-", "dim3-IV-", 3625, [[1, 0, 0], [0, 1, 0], [0, -1, 1]]),
+        ("split-5", "split-6", 3622, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ],
+)
+def test_search_witness_pins_enumeration_order(by_label, a, b, n, rows):
+    """The documented order makes the n-th invertible candidate the first hit."""
+    a, b = by_label[a].system, by_label[b].system
+    assert search_witness(a, b, n) == Matrix.from_rows(rows)
+    assert search_witness(a, b, n - 1) is None
+
+
 def test_search_witness_abelian_edge():
     # empty source tensor: the first invertible candidate is a witness
     a = TripleSystem.abelian(2)

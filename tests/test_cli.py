@@ -1,9 +1,11 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from lietriple import catalog, serialize_lts
 from lietriple.cli import main
+from util import sphere_system
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +41,25 @@ def test_check_huge_header_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (1, "")
     assert "line 1" in err and "above the limit" in err
+
+
+def test_check_at_the_header_limit_is_fast(capsys, tmp_path):
+    path = tmp_path / "sphere12.lts"
+    path.write_text(serialize_lts(sphere_system(12)), newline="")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, out) == (0, "valid\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_ascii_input_exit_1(capsys, tmp_path):
+    cases = (("check", b"LTS 2\n# \xc2\xb2\n", "0xc2", 8), ("lie-check", b"LIE \xb2\n", "0xb2", 4))
+    for command, text, byte, offset in cases:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"cannot read {path}: byte {byte} at offset {offset} is not ASCII\n"
 
 
 def test_check_axiom_violation_exit_2(capsys, tmp_path):

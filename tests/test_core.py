@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,8 +19,15 @@ from lietriple.core import (
     transform,
     triple_product,
 )
-from lietriple.exactla import Matrix, SingularMatrix, full_subspace, span, zero_subspace
-from util import random_invertible, random_rational
+from lietriple.exactla import (
+    Matrix,
+    SingularMatrix,
+    full_subspace,
+    span,
+    unit_vec,
+    zero_subspace,
+)
+from util import random_invertible, random_rational, sphere_system
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -88,6 +96,69 @@ def test_check_axioms_reports_first_cyclic_violation():
     assert verdict.kind == "cyclic"
     assert verdict.indices == (1, 2, 3)
     assert verdict.residual == (Fraction(1), Fraction(0), Fraction(0))
+
+
+def reference_check_axioms(t):
+    """(kind, indices, residual) of the first violation over every basis
+    instance, x >= y included, in lexicographic order: cyclic triples, then
+    derivation 5-tuples; (None, None, None) when both identities hold."""
+    n = t.dim
+    e = [unit_vec(n, i) for i in range(n)]
+
+    def p(x, y, z):
+        return triple_product(t, x, y, z)
+
+    def add(*vs):
+        return tuple(sum(c) for c in zip(*vs))
+
+    for x, y, z in itertools.product(range(n), repeat=3):
+        r = add(p(e[x], e[y], e[z]), p(e[y], e[z], e[x]), p(e[z], e[x], e[y]))
+        if any(r):
+            return "cyclic", (x + 1, y + 1, z + 1), r
+    for x, y, u, v, w in itertools.product(range(n), repeat=5):
+        def D(z):
+            return p(e[x], e[y], z)
+
+        lhs = D(p(e[u], e[v], e[w]))
+        rhs = add(p(D(e[u]), e[v], e[w]), p(e[u], D(e[v]), e[w]), p(e[u], e[v], D(e[w])))
+        r = tuple(a - b for a, b in zip(lhs, rhs))
+        if any(r):
+            return "derivation", (x + 1, y + 1, u + 1, v + 1, w + 1), r
+    return None, None, None
+
+
+def perturbed(t, rng):
+    """t with one seeded rational added to one structure constant."""
+    n = t.dim
+    entries = {
+        (i, j, k): t.c[i][j][k]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if any(t.c[i][j][k])
+    }
+    i, j = sorted(rng.sample(range(n), 2))
+    k, l = rng.randrange(n), rng.randrange(n)
+    v = list(entries.get((i, j, k), (Fraction(0),) * n))
+    v[l] += Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+    entries[(i, j, k)] = tuple(v)
+    return TripleSystem.from_entries(n, entries)
+
+
+def test_check_axioms_matches_reference_scan(entries):
+    rng = random.Random(41)
+    bases = [e.system for e in entries]
+    bases += [transform(t, random_invertible(rng, t.dim)) for t in bases]
+    bases += [sphere_system(k) for k in (2, 3, 4)]
+    systems = bases + [perturbed(t, rng) for t in bases for _ in range(3)]
+    kinds = set()
+    for t in systems:
+        verdict = check_axioms(t)
+        expected = reference_check_axioms(t)
+        assert (verdict.kind, verdict.indices, verdict.residual) == expected
+        assert verdict.ok == (expected[0] is None)
+        kinds.add(verdict.kind)
+    assert kinds == {None, "cyclic", "derivation"}
 
 
 def test_is_ideal_trivial_cases(by_label):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,8 +14,23 @@ from lietriple.embed import (
     lts_radical,
     standard_embedding,
 )
-from lietriple.exactla import Matrix, full_subspace, span, zero_subspace
-from lietriple.lie import Grading, LieAlgebra, check_grading, check_jacobi
+from lietriple.exactla import (
+    Echelon,
+    Matrix,
+    full_subspace,
+    kernel,
+    span,
+    unit_vec,
+    zero_subspace,
+)
+from lietriple.lie import (
+    Grading,
+    InvalidGrading,
+    LieAlgebra,
+    bracket,
+    check_grading,
+    check_jacobi,
+)
 from lietriple.core import derived_series, is_ideal
 from lietriple.formats import serialize_lie
 from util import random_invertible, sphere_system
@@ -112,28 +128,77 @@ def test_is_canonical_for_all_embeddings(entries):
         assert is_canonical(standard_embedding(e.system)), e.label
 
 
-def test_is_canonical_rejects_adjoined_center(by_label):
-    # take dim2-4a's envelope and adjoin a central h-direction by hand
-    t = by_label["dim2-4a"].system
-    base = standard_embedding(t)
-    g0 = base.algebra
-    m = g0.dim + 1
-    entries = {}
-    for i in range(g0.dim):
-        for j in range(i + 1, g0.dim):
-            v = g0.f[i][j]
-            if any(v):
-                entries[(i, j)] = tuple(v) + (Fraction(0),)
-    g = LieAlgebra.from_entries(m, entries)
-    fake = StandardEmbedding(
+def fixpoint_is_canonical(e):
+    """Reference: the largest ideal inside the h-span by the shrinking fixpoint
+    I_{k+1} = {x in I_k : [x, G] ⊆ I_k} starting from all of h."""
+    g = e.algebra
+    m = g.dim
+    n = e.source.dim
+    current = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
+    while not current.is_zero():
+        vs = list(current.vectors())
+        residual = Echelon(m, vs).reduce
+        conditions = []
+        for j in range(m):
+            images = [residual(bracket(g, b, unit_vec(m, j))) for b in vs]
+            for l in range(m):
+                conditions.append(tuple(img[l] for img in images))
+        lam_space = kernel(Matrix.from_rows(conditions, len(vs)))
+        nxt = span([current.basis.vecmat(lam) for lam in lam_space.vectors()], m)
+        if nxt == current:
+            return False
+        current = nxt
+    return True
+
+
+def adjoined_center(base, mixed):
+    """base with one more h-direction z, central in the algebra; with
+    ``mixed`` the new basis vector is z + h_1 instead, so no bracket row of
+    the plus basis vanishes although h still holds the ideal spanned by z."""
+    t, g0 = base.source, base.algebra
+    m0 = g0.dim
+    entries = {(i, j): g0.f[i][j] + (0,) for i in range(m0) for j in range(i + 1, m0)}
+    if mixed:
+        h1 = t.dim
+        entries.update({(i, m0): g0.f[i][h1] + (0,) for i in range(m0)})
+    g = LieAlgebra.from_entries(m0 + 1, entries)
+    return StandardEmbedding(
         source=t,
         algebra=g,
         grading=Grading(tuple([-1] * t.dim + [1] * (base.h_dim + 1))),
         h_basis=base.h_basis + (Matrix.zeros(t.dim, t.dim),),
         h_dim=base.h_dim + 1,
     )
-    assert check_jacobi(g).ok
-    assert check_grading(g, fake.grading).ok
+
+
+def test_is_canonical_matches_fixpoint(entries):
+    rng = random.Random(61)
+    systems = [e.system for e in entries]
+    systems += [transform(t, random_invertible(rng, t.dim)) for t in systems]
+    systems += [sphere_system(k) for k in (2, 3, 4)]
+    embeddings = [standard_embedding(t) for t in systems]
+    fakes = [adjoined_center(b, mixed=False) for b in embeddings]
+    fakes += [adjoined_center(b, mixed=True) for b in embeddings if b.h_dim]
+    answers = set()
+    for e in embeddings + fakes:
+        assert check_jacobi(e.algebra).ok
+        answers.add(is_canonical(e))
+        assert is_canonical(e) == fixpoint_is_canonical(e)
+    assert answers == {True, False}
+
+
+def test_is_canonical_rejects_wrong_parity(by_label):
+    base = standard_embedding(by_label["dim2-1"].system)
+    wrong = dataclasses.replace(base, grading=Grading((-1, -1, -1)))
+    with pytest.raises(InvalidGrading, match=r"bracket \[e1,e2\] has a component of wrong parity"):
+        is_canonical(wrong)
+
+
+def test_is_canonical_rejects_adjoined_center(by_label):
+    # take dim2-4a's envelope and adjoin a central h-direction by hand
+    fake = adjoined_center(standard_embedding(by_label["dim2-4a"].system), mixed=False)
+    assert check_jacobi(fake.algebra).ok
+    assert check_grading(fake.algebra, fake.grading).ok
     assert not is_canonical(fake)
 
 
