@@ -1,34 +1,26 @@
 """Pure-Python twin of the compiled witness-search kernel.
 
 Must stay observationally identical to ``_speedups.stage_search``: same
-candidate order, same counting, same hit.  All arithmetic is over plain
-Python ints (the driver pre-scales every rational input), so there is no
-overflow concern here.
+candidate order, same counting, same hit.  The compiled kernel walks every
+n*n digit tuple of a stage with an odometer; this one places T one row at a
+time, depth first, each row running through the ``len(vals)**n`` digit rows
+in lexicographic order, which visits the candidates in that same row-major
+order.  It cuts two kinds of subtree:
+
+* a row that is dependent on the rows above it: every completion is
+  singular, and singular candidates are never counted;
+* a prefix on which an equation of ``transform(a, T) == b`` already fails:
+  no completion is a hit, so the subtree's invertible candidates are
+  counted exactly, without being visited, and added to ``tested``.
+
+All arithmetic is over plain Python ints (the driver pre-scales every
+rational input), so there is no overflow concern here.
 """
 
 from __future__ import annotations
 
-
-def _det(mat, n):
-    """Exact integer determinant by cofactor expansion, small n."""
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if n == 3:
-        return (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-    det = 0
-    sign = 1
-    for j in range(n):
-        if mat[0][j]:
-            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-            det += sign * mat[0][j] * _det(minor, n - 1)
-        sign = -sign
-    return det
+from itertools import product
+from math import gcd
 
 
 def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
@@ -49,66 +41,170 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
 
     Candidates are all n*n digit tuples over vals in lexicographic order
     (leftmost digit most significant).  Singular matrices are skipped
-    without counting.  Returns (tested, digits-or-None).
+    without counting.  Returns (tested, digits-or-None): the number of
+    invertible candidates up to and including the hit, or (budget, None)
+    when the budget runs out first, or (all of them, None).
     """
+    budget = max(budget, 1)  # the odometer checks one candidate even at budget 0
     nvals = len(vals)
-    size = n * n
-    digits = [0] * size
+    equations = _equations_by_row(n, a_entries, b_flat)
+    pairs = _pairs(a_entries)
+    rows = [None] * n  # value rows placed so far
+    drows = [None] * n  # their digit rows
+    # perp[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
+    # is independent of rows[:d] exactly when it is not orthogonal to all
+    perp = [None] * (n + 1)
+    perp[0] = [tuple(int(r == c) for c in range(n)) for r in range(n)]
+    last_counts = {}
     tested = 0
-    T = [[vals[0]] * n for _ in range(n)]
-    while True:
-        has_new = any(d >= new_start for d in digits) if new_start else True
-        if has_new:
-            for r in range(n):
-                base = r * n
-                row = T[r]
-                for c in range(n):
-                    row[c] = vals[digits[base + c]]
-            if _det(T, n) != 0:
-                tested += 1
-                if _matches(n, a_entries, b_flat, T, m_lhs, m_rhs):
-                    return tested, tuple(digits)
-                if tested >= budget:
-                    return tested, None
-        # odometer increment, rightmost digit fastest
-        pos = size - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < nvals:
+
+    def holds(depth):
+        """Equations decided by the row just placed at ``depth``."""
+        for i, j, k, brow in equations[depth]:
+            Ti, Tj, Tk = rows[i], rows[j], rows[k]
+            lhs = [0] * n
+            for a, b, terms in pairs:
+                w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
+                if w:
+                    for c, l, val in terms:
+                        x = Tk[c]
+                        if x:
+                            lhs[l] += w * x * val
+            for l in range(n):
+                rhs = 0
+                for d, bv in brow:
+                    rhs += bv * rows[d][l]
+                if lhs[l] * m_lhs != rhs * m_rhs:
+                    return False
+        return True
+
+    def last_rows(has_new):
+        """Invertible last rows under rows[:n - 1], with a digit new to the
+        stage unless ``has_new``, memoised on the rows' normal."""
+        (w,) = perp[n - 1]
+        if next(x for x in w if x) < 0:
+            w = tuple(-x for x in w)
+        key = (w, has_new)
+        count = last_counts.get(key)
+        if count is None:
+            count = nvals**n - _zeros(w, vals)
+            if not has_new:
+                count -= new_start**n - _zeros(w, vals[:new_start])
+            last_counts[key] = count
+        return count
+
+    def completions(depth, has_new, cap):
+        """Invertible completions of rows[:depth], with a digit new to the
+        stage unless ``has_new``; counting stops once it reaches ``cap``."""
+        if depth == n - 1:
+            return last_rows(has_new)
+        total = 0
+        for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
+            perp[depth + 1] = _orthogonal(perp[depth], row)
+            if perp[depth + 1] is None:
+                continue
+            total += completions(depth + 1, has_new or max(drow) >= new_start, cap - total)
+            if total >= cap:
                 break
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return tested, None
+        return total
+
+    def search(depth, has_new):
+        """Place rows depth.. in order: (tested, digits) at the hit,
+        (budget, None) when the budget runs out, None when exhausted."""
+        nonlocal tested
+        last = depth == n - 1
+        if last:
+            (w,) = perp[depth]
+        for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
+            new = has_new or max(drow) >= new_start
+            if last:
+                # a tuple without a new digit belongs to an earlier stage
+                if not new or not sum(x * y for x, y in zip(w, row)):
+                    continue
+            else:
+                perp[depth + 1] = _orthogonal(perp[depth], row)
+                if perp[depth + 1] is None:
+                    continue
+            rows[depth] = row
+            if holds(depth):
+                drows[depth] = drow
+                if last:
+                    tested += 1
+                    return tested, sum(drows, ())
+                found = search(depth + 1, new)
+                if found:
+                    return found
+            else:
+                if last:
+                    tested += 1
+                else:
+                    tested += completions(depth + 1, new, budget - tested)
+                if tested >= budget:
+                    return budget, None
+        return None
+
+    return search(0, not new_start) or (tested, None)
 
 
-def _matches(n, a_entries, b_flat, T, m_lhs, m_rhs):
-    """Exact cross-multiplied comparison transform(a, T) == b.
+def _pairs(a_entries):
+    """a_entries grouped by (a, b): [(a, b, [(c, l, value), ...]), ...]."""
+    grouped = {}
+    for a, b, c, l, val in a_entries:
+        grouped.setdefault((a, b), []).append((c, l, val))
+    return [(a, b, terms) for (a, b), terms in grouped.items()]
 
-    With rows of T the new basis vectors, equality of the transformed
-    tensor with b is equivalent to, for every i < j and every k:
 
-        m_lhs * sum_{a<b,c} (T[i][a]T[j][b] - T[i][b]T[j][a]) T[k][c] A[abc]
-            == m_rhs * (row (i,j,k) of B) · T
-    """
+def _equations_by_row(n, a_entries, b_flat):
+    """Equation (i, j, k), i < j, of transform(a, T) == b, filed under the
+    last row it reads: with rows of T the new basis vectors it is, for
+    every l,
+
+        m_lhs * sum_{a<b,c} (T[i][a]T[j][b] - T[i][b]T[j][a]) T[k][c] A[abcl]
+            == m_rhs * sum_d B[ijkd] T[d][l]
+
+    so it reads rows i, j, k and every d with B[ijkd] != 0."""
+    by_row = [[] for _ in range(n)]
     for i in range(n):
-        Ti = T[i]
         for j in range(i + 1, n):
-            Tj = T[j]
             for k in range(n):
-                Tk = T[k]
-                lhs = [0] * n
-                for (a, b, c, l, val) in a_entries:
-                    w = (Ti[a] * Tj[b] - Ti[b] * Tj[a]) * Tk[c] * val
-                    if w:
-                        lhs[l] += w
                 base = ((i * n + j) * n + k) * n
-                for l in range(n):
-                    rhs = 0
-                    for d in range(n):
-                        bv = b_flat[base + d]
-                        if bv:
-                            rhs += bv * T[d][l]
-                    if lhs[l] * m_lhs != rhs * m_rhs:
-                        return False
-    return True
+                brow = [(d, b_flat[base + d]) for d in range(n) if b_flat[base + d]]
+                by_row[max([j, k] + [d for d, _ in brow])].append((i, j, k, brow))
+    return by_row
+
+
+def _orthogonal(perp, row):
+    """A primitive integer basis of the vectors in span(perp) orthogonal to
+    ``row``, or None when ``row`` is orthogonal to all of ``perp``."""
+    dots = [sum(x * y for x, y in zip(k, row)) for k in perp]
+    p = next((i for i, d in enumerate(dots) if d), None)
+    if p is None:
+        return None
+    kp, dp = perp[p], dots[p]
+    out = []
+    for i, (k, d) in enumerate(zip(perp, dots)):
+        if i != p:
+            u = [dp * x - d * y for x, y in zip(k, kp)]
+            g = gcd(*u)
+            out.append(tuple(x // g for x in u))
+    return out
+
+
+def _zeros(w, vals):
+    """Number of v in vals**len(w) with w·v == 0, meeting in the middle."""
+    h = len(w) // 2
+    left = _sums(w[:h], vals)
+    return sum(count * left.get(-s, 0) for s, count in _sums(w[h:], vals).items())
+
+
+def _sums(ws, vals):
+    """{s: number of v in vals**len(ws) with ws·v == s}."""
+    sums = {0: 1}
+    for x in ws:
+        nxt = {}
+        for s, count in sums.items():
+            for v in vals:
+                t = s + x * v
+                nxt[t] = nxt.get(t, 0) + count
+        sums = nxt
+    return sums

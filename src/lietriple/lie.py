@@ -7,6 +7,8 @@ from a graded algebra back to a triple system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .core import TripleSystem
 from .exactla import (
@@ -139,22 +141,31 @@ def bracket(g: LieAlgebra, x, y):
 
 
 def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
-    """Jacobi identity over all basis triples; first violation in lex order."""
+    """Jacobi identity over all basis triples; first violation in lex order.
+
+    The brackets are scaled to integers by their least common denominator
+    d, and only nonzero constants are visited: a cyclic term
+    [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
+    of [e_q, e_c].  The residual is d^-2 times the integer sum."""
     m = g.dim
+    d = lcm(*(x.denominator for fa in g.f for v in fa for x in v if x))
+    # nz[a][b]: the nonzero coordinates (l, d·x) of [e_a, e_b]
+    nz = [[[(l, int(x * d)) for l, x in enumerate(v) if x] for v in fa] for fa in g.f]
     for i in range(m):
         for j in range(m):
+            ij, nz_j = nz[i][j], nz[j]
             for k in range(m):
-                r = [ZERO] * m
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    v = g.f[a][b]
-                    for q, vq in enumerate(v):
-                        if vq:
-                            w = g.f[q][c]
-                            for l in range(m):
-                                if w[l]:
-                                    r[l] += vq * w[l]
-                if not vec_is_zero(r):
-                    return JacobiVerdict(False, (i + 1, j + 1, k + 1), tuple(r))
+                jk, ki = nz_j[k], nz[k][i]
+                if not (ij or jk or ki):
+                    continue
+                r = {}
+                for v, c in ((ij, k), (jk, i), (ki, j)):
+                    for q, vq in v:
+                        for l, x in nz[q][c]:
+                            r[l] = r.get(l, 0) + vq * x
+                if any(r.values()):
+                    residual = tuple(Fraction(r.get(l, 0), d * d) for l in range(m))
+                    return JacobiVerdict(False, (i + 1, j + 1, k + 1), residual)
     return JacobiVerdict(True)
 
 
@@ -203,7 +214,7 @@ def killing_form(g: LieAlgebra) -> Matrix:
             fj = g.f[j]
             s = sum((x * fj[l][k] for k, l, x in nonzero[i] if fj[l][k]), ZERO)
             K[i][j] = K[j][i] = s
-    return Matrix.from_rows(K)
+    return Matrix.from_rows(K, m)
 
 
 def killing_signature(g: LieAlgebra) -> KillingSignature:

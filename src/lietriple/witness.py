@@ -85,6 +85,9 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     if a.dim != b.dim:
         return None
     n = a.dim
+    if n == 0:
+        # the empty basis change is the one candidate, and it is invertible
+        return Matrix.identity(0) if budget >= 1 else None
     da, sa = integer_tensor(a)
     db, sb = integer_tensor(b)
     a_entries = [(i, j, k, l, x) for (i, j, k), pairs in sa.items() if i < j for l, x in pairs]

@@ -62,6 +62,16 @@ def test_non_ascii_input_exit_1(capsys, tmp_path):
         assert err == f"cannot read {path}: byte {byte} at offset {offset} is not ASCII\n"
 
 
+def test_zero_dimensional_fingerprint_and_iso(capsys, tmp_path):
+    path = tmp_path / "zero.lts"
+    path.write_text("LTS 0\n")
+    code, out, _ = run(capsys, "fingerprint", str(path))
+    assert code == 0
+    assert "dim_m: 0\n" in out and "g_killing: 0 0 0\n" in out
+    code, out, _ = run(capsys, "iso", str(path), str(path))
+    assert (code, out) == (0, "isomorphic\n")
+
+
 def test_check_axiom_violation_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.lts"
     path.write_text("LTS 3\n1 2 3 1 1\n")

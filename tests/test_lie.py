@@ -50,6 +50,54 @@ def test_check_jacobi_violation_reported():
     assert verdict.residual == (Fraction(0), Fraction(0), Fraction(-1))
 
 
+def dense_jacobi(g):
+    """Reference scan: every coordinate of every bracket, all basis triples
+    in lexicographic order."""
+    m = g.dim
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                r = [Fraction(0)] * m
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for q, vq in enumerate(g.f[a][b]):
+                        if vq:
+                            w = g.f[q][c]
+                            for l in range(m):
+                                if w[l]:
+                                    r[l] += vq * w[l]
+                if any(r):
+                    return (i + 1, j + 1, k + 1), tuple(r)
+    return None
+
+
+def test_check_jacobi_matches_dense_reference(entries):
+    """Same verdict, first violation and residual on catalog and sphere
+    envelopes and seeded one-constant perturbations of each."""
+    rng = random.Random(4101)
+    algebras = [standard_embedding(e.system).algebra for e in entries]
+    algebras += [standard_embedding(sphere_system(k)).algebra for k in (3, 4, 5)]
+    violations = 0
+    for g in algebras:
+        cases = [g]
+        upper = {(i, j): g.f[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)}
+        for _ in range(4 if upper else 0):
+            (i, j), v = rng.choice(sorted(upper.items()))
+            v = list(v)
+            v[rng.randrange(g.dim)] += Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+            changed = dict(upper)
+            changed[(i, j)] = v
+            cases.append(LieAlgebra.from_entries(g.dim, changed))
+        for h in cases:
+            verdict = check_jacobi(h)
+            expected = dense_jacobi(h)
+            if expected is None:
+                assert verdict.ok
+            else:
+                violations += 1
+                assert (verdict.ok, verdict.indices, verdict.residual) == (False, *expected)
+    assert violations > 50
+
+
 def test_series_abelian():
     g = LieAlgebra.abelian(4)
     assert dims(lie_derived_series(g)) == (4, 0)

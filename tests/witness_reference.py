@@ -1,0 +1,115 @@
+"""Reference witness-search kernel: the row-major odometer.
+
+This is the original pure-Python ``stage_search``: it walks every n*n digit
+tuple of a stage in lexicographic order, skips singular matrices without
+counting them, and checks every invertible candidate in full.  The tests
+compare the row-at-a-time kernel in ``lietriple._witness_py`` against it,
+call for call.
+"""
+
+from __future__ import annotations
+
+
+def _det(mat, n):
+    """Exact integer determinant by cofactor expansion, small n."""
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if n == 3:
+        return (
+            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
+            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
+            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
+        )
+    det = 0
+    sign = 1
+    for j in range(n):
+        if mat[0][j]:
+            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
+            det += sign * mat[0][j] * _det(minor, n - 1)
+        sign = -sign
+    return det
+
+
+def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
+    """Scan one stage of the candidate enumeration.
+
+    n          matrix size
+    a_entries  nonzero integer tensor entries of the source system as
+               (a, b, c, l, value) with a < b, pre-scaled
+    b_flat     full integer tensor of the target system, index
+               ((i*n + j)*n + k)*n + l, pre-scaled
+    vals       candidate entry values for this stage, pre-scaled integers,
+               in canonical order
+    new_start  index of the first value new to this stage; tuples whose
+               digits all fall below it were scanned in earlier stages
+    budget     remaining number of invertible candidates allowed
+    m_lhs      integer multiplier applied to the transformed products
+    m_rhs      integer multiplier applied to the target side
+
+    Candidates are all n*n digit tuples over vals in lexicographic order
+    (leftmost digit most significant).  Singular matrices are skipped
+    without counting.  Returns (tested, digits-or-None).
+    """
+    nvals = len(vals)
+    size = n * n
+    digits = [0] * size
+    tested = 0
+    T = [[vals[0]] * n for _ in range(n)]
+    while True:
+        has_new = any(d >= new_start for d in digits) if new_start else True
+        if has_new:
+            for r in range(n):
+                base = r * n
+                row = T[r]
+                for c in range(n):
+                    row[c] = vals[digits[base + c]]
+            if _det(T, n) != 0:
+                tested += 1
+                if _matches(n, a_entries, b_flat, T, m_lhs, m_rhs):
+                    return tested, tuple(digits)
+                if tested >= budget:
+                    return tested, None
+        # odometer increment, rightmost digit fastest
+        pos = size - 1
+        while pos >= 0:
+            digits[pos] += 1
+            if digits[pos] < nvals:
+                break
+            digits[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return tested, None
+
+
+def _matches(n, a_entries, b_flat, T, m_lhs, m_rhs):
+    """Exact cross-multiplied comparison transform(a, T) == b.
+
+    With rows of T the new basis vectors, equality of the transformed
+    tensor with b is equivalent to, for every i < j and every k:
+
+        m_lhs * sum_{a<b,c} (T[i][a]T[j][b] - T[i][b]T[j][a]) T[k][c] A[abc]
+            == m_rhs * (row (i,j,k) of B) · T
+    """
+    for i in range(n):
+        Ti = T[i]
+        for j in range(i + 1, n):
+            Tj = T[j]
+            for k in range(n):
+                Tk = T[k]
+                lhs = [0] * n
+                for (a, b, c, l, val) in a_entries:
+                    w = (Ti[a] * Tj[b] - Ti[b] * Tj[a]) * Tk[c] * val
+                    if w:
+                        lhs[l] += w
+                base = ((i * n + j) * n + k) * n
+                for l in range(n):
+                    rhs = 0
+                    for d in range(n):
+                        bv = b_flat[base + d]
+                        if bv:
+                            rhs += bv * T[d][l]
+                    if lhs[l] * m_lhs != rhs * m_rhs:
+                        return False
+    return True
