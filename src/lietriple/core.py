@@ -286,11 +286,11 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
     if om.dim != t.dim and not is_ideal(t, om):
         raise NotAnIdeal("derived series requires an ideal")
     terms = [om]
-    while True:
+    while not terms[-1].is_zero():
         nxt = derived_subspace(t, terms[-1])
         terms.append(nxt)
         # dimensions strictly decrease until stabilization, so this terminates
-        if nxt.is_zero() or nxt == terms[-2]:
+        if nxt == terms[-2]:
             break
     solvable = terms[-1].is_zero()
     return DerivedSeries(tuple(terms), solvable, len(terms) - 1)

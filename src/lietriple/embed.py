@@ -6,6 +6,17 @@ D_{x,y} : z -> (x, y, z), with brackets
 
 for X, Y in M and A, B in h.  M occupies the first n coordinates of G and
 carries grading sign -, h the rest with sign +.
+
+Everything is read off the structure tensor, with no matrix products.  The
+matrix of D_{e_i,e_j} has column k equal to c[i][j][k], and the h-coordinates
+of every D_{e_i,e_j} are computed once.  Each D_{p,q} is a derivation of the
+triple product, so
+
+    [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
+
+and each bracket [A, B] of h is a combination of those coordinates.  The
+identity needs valid axioms, which is why the axioms are checked before
+anything else is built.
 """
 
 from __future__ import annotations
@@ -76,10 +87,6 @@ def inner_derivation(t: TripleSystem, x, y) -> Matrix:
     return Matrix.from_rows([[cols[k][l] for k in range(n)] for l in range(n)], n)
 
 
-def _flat(m: Matrix):
-    return tuple(x for row in m.entries for x in row)
-
-
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """Build G = M + h with a deterministic basis of h.
 
@@ -90,41 +97,50 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     if not verdict:
         raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
     n = t.dim
-    derivations = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            derivations[(i, j)] = inner_derivation(t, unit_vec(n, i), unit_vec(n, j))
+    c = t.c
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # D_{e_i,e_j} flattened column by column: column k is c[i][j][k]
+    flat = {(i, j): tuple(x for col in c[i][j] for x in col) for i, j in pairs}
     h = Echelon(n * n)
-    h_basis = [D for _, D in sorted(derivations.items()) if h.insert(_flat(D))]
-    h_dim = len(h_basis)
-    m = n + h_dim
+    chosen = [ij for ij in pairs if h.insert(flat[ij])]
+    h_dim = len(chosen)
     pad = (ZERO,) * n
 
-    def h_coords(D: Matrix):
-        coords = h.coords(_flat(D))
-        if coords is None:
-            raise AssertionError("derivation escaped the span of the chosen basis")
-        return coords
-
+    # K[i][j]: the nonzero h-coordinates (a, x) of D_{e_i,e_j}, antisymmetric
+    K = [[()] * n for _ in range(n)]
     entries = {}
-    for (i, j), D in derivations.items():
-        coords = h_coords(D)
-        if not vec_is_zero(coords):
+    for i, j in pairs:
+        coords = h.coords(flat[(i, j)])
+        K[i][j] = tuple((a, x) for a, x in enumerate(coords) if x)
+        K[j][i] = tuple((a, -x) for a, x in K[i][j])
+        if K[i][j]:
             entries[(i, j)] = pad + coords
-    for a, D in enumerate(h_basis):
+    for a, (p, q) in enumerate(chosen):
+        cpq = c[p][q]
         for i in range(n):
-            col = D.col(i)
-            if not vec_is_zero(col):
+            if not vec_is_zero(cpq[i]):
                 # stored as [e_i, e_{n+a}] = -[A, X] = -A·e_i
-                entries[(i, n + a)] = vec_neg(col) + (ZERO,) * h_dim
-    for a in range(h_dim):
+                entries[(i, n + a)] = vec_neg(cpq[i]) + (ZERO,) * h_dim
         for b in range(a + 1, h_dim):
-            coords = h_coords((h_basis[a] * h_basis[b]).sub(h_basis[b] * h_basis[a]))
-            if not vec_is_zero(coords):
-                entries[(n + a, n + b)] = pad + coords
-    algebra = LieAlgebra.from_entries(m, entries)
+            u, v = chosen[b]
+            # [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)}
+            acc = [ZERO] * h_dim
+            for l, x in enumerate(cpq[u]):
+                if x:
+                    for s, y in K[l][v]:
+                        acc[s] += x * y
+            for l, x in enumerate(cpq[v]):
+                if x:
+                    for s, y in K[u][l]:
+                        acc[s] += x * y
+            if any(acc):
+                entries[(n + a, n + b)] = pad + tuple(acc)
+    algebra = LieAlgebra.from_entries(n + h_dim, entries)
     grading = Grading(tuple([-1] * n + [1] * h_dim))
-    return StandardEmbedding(t, algebra, grading, tuple(h_basis), h_dim)
+    h_basis = tuple(
+        Matrix.from_rows([[c[p][q][k][l] for k in range(n)] for l in range(n)], n) for p, q in chosen
+    )
+    return StandardEmbedding(t, algebra, grading, h_basis, h_dim)
 
 
 def is_canonical(e: StandardEmbedding) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .core import TripleSystem
@@ -18,7 +19,6 @@ from .exactla import (
     ZERO,
     full_subspace,
     kernel,
-    span,
     unit_vec,
     vec,
     vec_is_zero,
@@ -42,27 +42,35 @@ class LieAlgebra:
         m = self.dim
         if len(self.f) != m or any(len(fi) != m or any(len(v) != m for v in fi) for fi in self.f):
             raise ValueError("bracket tensor shape does not match dimension")
+        zero = zero_vec(m)
         for i in range(m):
             if not vec_is_zero(self.f[i][i]):
                 raise ValueError(f"[e{i + 1},e{i + 1}] must vanish")
             for j in range(i + 1, m):
-                if self.f[i][j] != vec_neg(self.f[j][i]):
+                a, b = self.f[i][j], self.f[j][i]
+                if (a != zero or b != zero) and a != vec_neg(b):
                     raise ValueError(f"brackets not antisymmetric at ({i + 1},{j + 1})")
+
+    @cached_property
+    def _killing(self) -> Matrix:
+        # kept on the instance: a fingerprint reads the Killing form through
+        # both lie_radical and killing_signature
+        return _killing_form(self)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> LieAlgebra:
         """Build from a sparse map {(i, j): vector} with 0-based i < j."""
-        f = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
+        # absent brackets all share one zero tuple
+        f = [[zero_vec(dim)] * dim for _ in range(dim)]
         for (i, j), v in entries.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket index ({i},{j})")
             v = vec(v)
             if len(v) != dim:
                 raise ValueError("coordinate vector length mismatch")
-            f[i][j] = list(v)
+            f[i][j] = v
             f[j][i] = vec_neg(v)
-        frozen = tuple(tuple(tuple(x for x in v) for v in fi) for fi in f)
-        return LieAlgebra(dim, frozen)
+        return LieAlgebra(dim, tuple(tuple(fi) for fi in f))
 
     @staticmethod
     def abelian(dim: int) -> LieAlgebra:
@@ -172,7 +180,7 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
 def _series(g: LieAlgebra, lower_central: bool) -> tuple[Subspace, ...]:
     m = g.dim
     terms = [full_subspace(m)]
-    while True:
+    while not terms[-1].is_zero():
         cur = terms[-1]
         vs = cur.vectors()
         if lower_central:
@@ -188,7 +196,7 @@ def _series(g: LieAlgebra, lower_central: bool) -> tuple[Subspace, ...]:
                 break
         nxt = ech.subspace()
         terms.append(nxt)
-        if nxt.is_zero() or nxt == cur:
+        if nxt == cur:
             break
     return tuple(terms)
 
@@ -204,7 +212,12 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad e_i ∘ ad e_j), summed over the nonzero brackets only."""
+    """K[i][j] = trace(ad e_i ∘ ad e_j), computed once per algebra."""
+    return g._killing
+
+
+def _killing_form(g: LieAlgebra) -> Matrix:
+    """The Killing form summed over the nonzero brackets only."""
     m = g.dim
     # (k, l, x): [e_i, e_k] has the nonzero coordinate x on e_l
     nonzero = [[(k, l, x) for k, v in enumerate(fi) for l, x in enumerate(v) if x] for fi in g.f]
@@ -266,7 +279,13 @@ def killing_signature(g: LieAlgebra) -> KillingSignature:
 def lie_radical(g: LieAlgebra) -> Subspace:
     """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0)."""
     m = g.dim
-    derived = span([g.f[i][j] for i in range(m) for j in range(i + 1, m)], m)
+    ech = Echelon(m)
+    for v in (g.f[i][j] for i in range(m) for j in range(i + 1, m)):
+        ech.insert(v)
+        # [g, g] lies in g: at full rank the rest adds nothing
+        if ech.rank == m:
+            break
+    derived = ech.subspace()
     if derived.is_zero():
         return full_subspace(m)
     K = killing_form(g)

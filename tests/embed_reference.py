@@ -1,0 +1,67 @@
+"""Reference standard embedding: brackets from matrix commutators.
+
+This is the original ``standard_embedding``: it builds every basis
+derivation D_{e_i,e_j} as a dense matrix, reads the coordinates of each
+one off an echelon of the flattened matrices, and computes every h-h
+bracket as the commutator AB - BA of two basis matrices.  The tests
+compare ``lietriple.embed.standard_embedding``, which reads all of this
+off the structure tensor, against it byte for byte.
+"""
+
+from __future__ import annotations
+
+from lietriple.core import InvalidLTS, TripleSystem, check_axioms
+from lietriple.embed import StandardEmbedding, inner_derivation
+from lietriple.exactla import Echelon, Matrix, ZERO, unit_vec, vec_is_zero, vec_neg
+from lietriple.lie import Grading, LieAlgebra
+
+
+def _flat(m: Matrix):
+    return tuple(x for row in m.entries for x in row)
+
+
+def standard_embedding(t: TripleSystem) -> StandardEmbedding:
+    """Build G = M + h with a deterministic basis of h.
+
+    The basis of h is chosen greedily from the basis derivations D_{e_i,e_j}
+    in lexicographic (i, j) order, keeping each one that enlarges the span.
+    """
+    verdict = check_axioms(t)
+    if not verdict:
+        raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
+    n = t.dim
+    derivations = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            derivations[(i, j)] = inner_derivation(t, unit_vec(n, i), unit_vec(n, j))
+    h = Echelon(n * n)
+    h_basis = [D for _, D in sorted(derivations.items()) if h.insert(_flat(D))]
+    h_dim = len(h_basis)
+    m = n + h_dim
+    pad = (ZERO,) * n
+
+    def h_coords(D: Matrix):
+        coords = h.coords(_flat(D))
+        if coords is None:
+            raise AssertionError("derivation escaped the span of the chosen basis")
+        return coords
+
+    entries = {}
+    for (i, j), D in derivations.items():
+        coords = h_coords(D)
+        if not vec_is_zero(coords):
+            entries[(i, j)] = pad + coords
+    for a, D in enumerate(h_basis):
+        for i in range(n):
+            col = D.col(i)
+            if not vec_is_zero(col):
+                # stored as [e_i, e_{n+a}] = -[A, X] = -A·e_i
+                entries[(i, n + a)] = vec_neg(col) + (ZERO,) * h_dim
+    for a in range(h_dim):
+        for b in range(a + 1, h_dim):
+            coords = h_coords((h_basis[a] * h_basis[b]).sub(h_basis[b] * h_basis[a]))
+            if not vec_is_zero(coords):
+                entries[(n + a, n + b)] = pad + coords
+    algebra = LieAlgebra.from_entries(m, entries)
+    grading = Grading(tuple([-1] * n + [1] * h_dim))
+    return StandardEmbedding(t, algebra, grading, tuple(h_basis), h_dim)

@@ -24,6 +24,18 @@ except ImportError:
     wc = None
 
 
+def test_fingerprint_computes_the_killing_form_once(entries, monkeypatch):
+    import lietriple.lie as lie
+
+    calls = []
+    compute = lie._killing_form
+    monkeypatch.setattr(lie, "_killing_form", lambda g: calls.append(g.dim) or compute(g))
+    for e in entries:
+        calls.clear()
+        fp = fingerprint(e.system)
+        assert calls == [fp.g_dim], e.label
+
+
 def test_fingerprint_abelian_dim3(by_label):
     fp = fingerprint(by_label["dim3-I"].system)
     assert fp.dim_m == 3

@@ -68,6 +68,11 @@ def test_zero_dimensional_fingerprint_and_iso(capsys, tmp_path):
     code, out, _ = run(capsys, "fingerprint", str(path))
     assert code == 0
     assert "dim_m: 0\n" in out and "g_killing: 0 0 0\n" in out
+    # the zero space is listed once in each series
+    for name in ("m_derived_dims", "g_derived_dims", "g_lcs_dims"):
+        assert f"\n{name}: 0\n" in out
+    code, out, _ = run(capsys, "series", str(path))
+    assert (code, out) == (0, "dims: 0\nsolvable: yes\n")
     code, out, _ = run(capsys, "iso", str(path), str(path))
     assert (code, out) == (0, "isomorphic\n")
 

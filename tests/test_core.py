@@ -198,6 +198,14 @@ def test_derived_series_abelian():
     assert series.depth == 1
 
 
+def test_derived_series_of_a_zero_ideal_ends_at_it(by_label):
+    for t in (TripleSystem.abelian(0), by_label["dim2-1"].system):
+        series = derived_series(t, zero_subspace(t.dim))
+        assert series.dims == (0,)
+        assert series.solvable
+        assert series.depth == 0
+
+
 def test_derived_series_two_steps(by_label):
     series = derived_series(by_label["dim2-4a"].system, full_subspace(2))
     assert series.dims == (2, 1, 0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import embed_reference as ref
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms, quotient, transform
 from lietriple.embed import (
     StandardEmbedding,
@@ -276,3 +277,22 @@ def test_sphere_embedding_matches_golden_bytes():
     for name, t in cases.items():
         e = standard_embedding(t)
         assert serialize_lie(e.algebra, e.grading) == (GOLDEN / name).read_text(), name
+
+
+def test_standard_embedding_matches_matrix_commutator_reference(entries):
+    # the brackets [h, h] come from the derivation identity on the tensor;
+    # the reference computes them as matrix commutators
+    rng = random.Random(20261018)
+    systems = [(e.label, e.system) for e in entries]
+    systems += [
+        (f"{e.label} changed {r}", transform(e.system, random_invertible(rng, e.system.dim)))
+        for e in entries
+        for r in range(2)
+    ]
+    systems += [(f"sphere {k}", sphere_system(k)) for k in range(2, 8)]
+    for name, t in systems:
+        got, want = standard_embedding(t), ref.standard_embedding(t)
+        assert serialize_lie(got.algebra, got.grading) == serialize_lie(want.algebra, want.grading), name
+        assert got.h_basis == want.h_basis, name
+        assert got.h_dim == want.h_dim, name
+        assert got.algebra == want.algebra, name

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,23 @@ def emb(by_label, label):
 
 def dims(series):
     return tuple(s.dim for s in series)
+
+
+def test_bracket_table_rejections_keep_their_messages():
+    zero = (Fraction(0),) * 2
+    one = (Fraction(1), Fraction(0))
+    minus = (Fraction(-1), Fraction(0))
+
+    def table(f00, f01, f10):
+        return ((f00, f01), (f10, zero))
+
+    assert LieAlgebra(2, table(zero, one, minus)).f[0][1] == one
+    with pytest.raises(ValueError, match=re.escape("[e1,e1] must vanish")):
+        LieAlgebra(2, table(one, zero, zero))
+    # only one side nonzero, either side, and both nonzero but equal
+    for f01, f10 in ((one, zero), (zero, one), (one, one)):
+        with pytest.raises(ValueError, match=re.escape("brackets not antisymmetric at (1,2)")):
+            LieAlgebra(2, table(zero, f01, f10))
 
 
 def test_check_jacobi_abelian():
@@ -202,6 +220,32 @@ def test_lie_radical_cases(by_label):
     assert lie_radical(LieAlgebra.abelian(3)) == full_subspace(3)
     assert lie_radical(emb(by_label, "dim2-1").algebra) == zero_subspace(3)
     assert lie_radical(emb(by_label, "dim3-II").algebra) == full_subspace(4)
+
+
+def test_lie_radical_matches_the_whole_derived_span(entries):
+    # the radical reads [g, g] only until its rank reaches dim g
+    from lietriple.exactla import Matrix, kernel
+
+    algebras = [standard_embedding(e.system).algebra for e in entries]
+    algebras += [standard_embedding(sphere_system(k)).algebra for k in (2, 3, 4, 5)]
+    perfect = 0
+    for g in algebras:
+        m = g.dim
+        derived = span([g.f[i][j] for i in range(m) for j in range(i + 1, m)], m)
+        perfect += derived.dim == m
+        if derived.is_zero():
+            expected = full_subspace(m)
+        else:
+            K = killing_form(g)
+            expected = kernel(Matrix.from_rows([K.vecmat(d) for d in derived.vectors()]))
+        assert lie_radical(g) == expected
+    assert perfect >= 4
+
+
+def test_series_of_the_zero_algebra_end_at_its_first_term():
+    g = LieAlgebra.abelian(0)
+    assert dims(lie_derived_series(g)) == (0,)
+    assert dims(lower_central_series(g)) == (0,)
 
 
 def test_lie_radical_is_solvable_ideal(entries):
