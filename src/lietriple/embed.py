@@ -137,9 +137,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
                 entries[(n + a, n + b)] = pad + tuple(acc)
     algebra = LieAlgebra.from_entries(n + h_dim, entries)
     grading = Grading(tuple([-1] * n + [1] * h_dim))
-    h_basis = tuple(
-        Matrix.from_rows([[c[p][q][k][l] for k in range(n)] for l in range(n)], n) for p, q in chosen
-    )
+    h_basis = tuple(Matrix.from_rows(c[p][q], n).transpose() for p, q in chosen)
     return StandardEmbedding(t, algebra, grading, h_basis, h_dim)
 
 

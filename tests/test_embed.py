@@ -296,3 +296,19 @@ def test_standard_embedding_matches_matrix_commutator_reference(entries):
         assert got.h_basis == want.h_basis, name
         assert got.h_dim == want.h_dim, name
         assert got.algebra == want.algebra, name
+
+
+def test_standard_embedding_forms_no_matrix_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix product formed")
+
+    calls = []
+    coords = Echelon.coords
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(Matrix, "sub", refuse)
+    monkeypatch.setattr(Echelon, "coords", lambda self, v: calls.append(1) or coords(self, v))
+    for k in (2, 3, 5):
+        calls.clear()
+        assert standard_embedding(sphere_system(k)).h_dim == k * (k - 1) // 2
+        # one coordinate read per basis derivation D_{e_i,e_j}, i < j
+        assert len(calls) == k * (k - 1) // 2
