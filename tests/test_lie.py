@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lietriple.embed import standard_embedding
-from lietriple.exactla import full_subspace, span, subspace_le, zero_subspace
+from lietriple.exactla import Matrix, full_subspace, kernel, span, subspace_le, zero_subspace
 from lietriple.lie import (
     Grading,
     InvalidGrading,
@@ -224,8 +224,6 @@ def test_lie_radical_cases(by_label):
 
 def test_lie_radical_matches_the_whole_derived_span(entries):
     # the radical reads [g, g] only until its rank reaches dim g
-    from lietriple.exactla import Matrix, kernel
-
     algebras = [standard_embedding(e.system).algebra for e in entries]
     algebras += [standard_embedding(sphere_system(k)).algebra for k in (2, 3, 4, 5)]
     perfect = 0
