@@ -5,27 +5,32 @@ the coordinate vector of the product (e_i, e_j, e_k).  The constructor
 enforces the structural part of the axioms (alternation in the first two
 slots, stored antisymmetrically); the cyclic and derivation identities are
 checked by :func:`check_axioms`.
+
+Each system keeps the nonzero coordinates of its products, computed once;
+the triple product, the integer tensor, the derived series and the centre
+read only those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .exactla import (
     Echelon,
     Matrix,
+    ONE,
     Subspace,
     ZERO,
-    full_subspace,
     inverse,
     kernel,
-    span,
     unit_vec,
     vec,
     vec_is_zero,
     vec_neg,
+    vec_nonzeros,
     zero_vec,
 )
 
@@ -62,6 +67,15 @@ class TripleSystem:
                         raise InvalidLTS(
                             f"tensor not antisymmetric in the first two slots at ({i + 1},{j + 1},{k + 1})"
                         )
+
+    @cached_property
+    def _nz(self) -> tuple:
+        # _nz[i][j][k]: the pairs (l, x) of the nonzero coordinates of (e_i, e_j, e_k);
+        # a zero product is matched as a whole
+        zero = zero_vec(self.dim)
+        return tuple(
+            tuple(tuple(() if v == zero else vec_nonzeros(v) for v in cij) for cij in ci) for ci in self.c
+        )
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> TripleSystem:
@@ -112,24 +126,22 @@ def triple_product(t: TripleSystem, x, y, z):
     x, y, z = vec(x), vec(y), vec(z)
     if len(x) != n or len(y) != n or len(z) != n:
         raise ValueError("dimension mismatch")
-    out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        ci = t.c[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            cij = ci[j]
+    return _triple(t, vec_nonzeros(x), vec_nonzeros(y), vec_nonzeros(z))
+
+
+def _triple(t: TripleSystem, xs, ys, zs):
+    """(x, y, z) from the nonzero pairs (index, entry) of x, y and z."""
+    out = [ZERO] * t.dim
+    nz = t._nz
+    for i, xi in xs:
+        nzi = nz[i]
+        for j, yj in ys:
+            nzij = nzi[j]
             s = xi * yj
-            for k, zk in enumerate(z):
-                if not zk:
-                    continue
-                v = cij[k]
+            for k, zk in zs:
                 q = s * zk
-                for l in range(n):
-                    if v[l]:
-                        out[l] += q * v[l]
+                for l, v in nzij[k]:
+                    out[l] += q * v
     return tuple(out)
 
 
@@ -142,18 +154,13 @@ def integer_tensor(t: TripleSystem):
     in lexicographic order.
     """
     n = t.dim
-    d = 1
-    for ci in t.c:
-        for cij in ci:
-            for v in cij:
-                for x in v:
-                    if x:
-                        d = lcm(d, x.denominator)
+    nz = t._nz
+    d = lcm(*(x.denominator for ci in nz for cij in ci for v in cij for _, x in v))
     S = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                pairs = tuple((l, int(x * d)) for l, x in enumerate(t.c[i][j][k]) if x)
+                pairs = tuple((l, int(x * d)) for l, x in nz[i][j][k])
                 if pairs:
                     S[(i, j, k)] = pairs
                     S[(j, i, k)] = tuple((l, -x) for l, x in pairs)
@@ -252,14 +259,19 @@ def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
 
 def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     """Span of (M, om, om): all (e_i, a, b) with a, b over the basis of om."""
-    if om.ambient_dim != t.dim:
+    n = t.dim
+    if om.ambient_dim != n:
         raise ValueError("ambient dimension mismatch")
-    products = []
-    for i in range(t.dim):
-        for a in om.vectors():
-            for b in om.vectors():
-                products.append(triple_product(t, unit_vec(t.dim, i), a, b))
-    return span(products, t.dim)
+    vs = [vec_nonzeros(v) for v in om.vectors()]
+    ech = Echelon(n)
+    for i in range(n):
+        for a in vs:
+            for b in vs:
+                ech.insert(_triple(t, ((i, ONE),), a, b))
+                # (M, om, om) lies in M: at full rank the rest adds nothing
+                if ech.rank == n:
+                    return ech.subspace()
+    return ech.subspace()
 
 
 @dataclass(frozen=True)
@@ -299,18 +311,17 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
 def lts_center(t: TripleSystem) -> Subspace:
     """{z : (z, x, y) = 0 and (x, y, z) = 0 for all basis x, y}."""
     n = t.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                rows.append(tuple(t.c[i][j][k][l] for i in range(n)))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                rows.append(tuple(t.c[i][j][k][l] for k in range(n)))
-    if not rows:
-        return full_subspace(n)
-    return kernel(Matrix.from_rows(rows))
+    # row (j, k, l) holds the e_l-coordinates of the (z, e_j, e_k), row (i, j, l)
+    # those of the (e_i, e_j, z); only nonzero rows are built
+    first, third = {}, {}
+    for i, ci in enumerate(t._nz):
+        for j, cij in enumerate(ci):
+            for k, v in enumerate(cij):
+                for l, x in v:
+                    first.setdefault((j, k, l), [ZERO] * n)[i] = x
+                    third.setdefault((i, j, l), [ZERO] * n)[k] = x
+    rows = [tuple(r) for rs in (first, third) for _, r in sorted(rs.items())]
+    return kernel(Matrix.from_rows(rows, n))
 
 
 def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:

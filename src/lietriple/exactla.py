@@ -15,6 +15,7 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION = frozenset((Fraction,))
 
 
 class SingularMatrix(ValueError):
@@ -27,6 +28,9 @@ def rat(x) -> Fraction:
 
 
 def vec(entries) -> tuple[Fraction, ...]:
+    # a tuple of Fractions is returned as it is, not coerced again
+    if type(entries) is tuple and _FRACTION.issuperset(map(type, entries)):
+        return entries
     return tuple(rat(x) for x in entries)
 
 
@@ -46,6 +50,11 @@ def vec_sub(a, b):
 def vec_neg(a):
     """-a, keeping zero entries as they are (cheaper than negating them)."""
     return tuple(-x if x else x for x in a)
+
+
+def vec_nonzeros(a) -> tuple:
+    """The pairs (index, entry) of the nonzero entries of a, in index order."""
+    return tuple([(i, x) for i, x in enumerate(a) if x])
 
 
 def vec_is_zero(a) -> bool:

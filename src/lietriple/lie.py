@@ -2,6 +2,10 @@
 side leans on: Jacobi checking, derived/lower-central series, the Killing
 form and its exact signature, radical, center, gradings and the passage
 from a graded algebra back to a triple system.
+
+Each algebra keeps the nonzero coordinates of its brackets, computed once;
+the bracket, the series, the Killing form, the radical, the centre and the
+antisymmetry and grading checks read only those.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from .core import TripleSystem
 from .exactla import (
     Echelon,
     Matrix,
+    ONE,
     Subspace,
     ZERO,
     full_subspace,
@@ -23,6 +28,7 @@ from .exactla import (
     vec,
     vec_is_zero,
     vec_neg,
+    vec_nonzeros,
     zero_vec,
 )
 
@@ -42,14 +48,20 @@ class LieAlgebra:
         m = self.dim
         if len(self.f) != m or any(len(fi) != m or any(len(v) != m for v in fi) for fi in self.f):
             raise ValueError("bracket tensor shape does not match dimension")
-        zero = zero_vec(m)
+        nz = self._nz
         for i in range(m):
-            if not vec_is_zero(self.f[i][i]):
+            if nz[i][i]:
                 raise ValueError(f"[e{i + 1},e{i + 1}] must vanish")
             for j in range(i + 1, m):
-                a, b = self.f[i][j], self.f[j][i]
-                if (a != zero or b != zero) and a != vec_neg(b):
+                if nz[i][j] != tuple([(l, -x) for l, x in nz[j][i]]):
                     raise ValueError(f"brackets not antisymmetric at ({i + 1},{j + 1})")
+
+    @cached_property
+    def _nz(self) -> tuple:
+        # _nz[i][j]: the pairs (l, x) of the nonzero coordinates of [e_i, e_j];
+        # a zero bracket is matched as a whole
+        zero = zero_vec(self.dim)
+        return tuple(tuple(() if v == zero else vec_nonzeros(v) for v in fi) for fi in self.f)
 
     @cached_property
     def _killing(self) -> Matrix:
@@ -132,19 +144,19 @@ def bracket(g: LieAlgebra, x, y):
     x, y = vec(x), vec(y)
     if len(x) != m or len(y) != m:
         raise ValueError("dimension mismatch")
-    out = [ZERO] * m
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        fi = g.f[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            v = fi[j]
+    return _bracket(g, vec_nonzeros(x), vec_nonzeros(y))
+
+
+def _bracket(g: LieAlgebra, xs, ys):
+    """[x, y] from the nonzero pairs (i, x_i) and (j, y_j) of x and y."""
+    out = [ZERO] * g.dim
+    nz = g._nz
+    for i, xi in xs:
+        nzi = nz[i]
+        for j, yj in ys:
             s = xi * yj
-            for l in range(m):
-                if v[l]:
-                    out[l] += s * v[l]
+            for l, v in nzi[j]:
+                out[l] += s * v
     return tuple(out)
 
 
@@ -156,9 +168,9 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
     of [e_q, e_c].  The residual is d^-2 times the integer sum."""
     m = g.dim
-    d = lcm(*(x.denominator for fa in g.f for v in fa for x in v if x))
+    d = lcm(*(x.denominator for fa in g._nz for v in fa for _, x in v))
     # nz[a][b]: the nonzero coordinates (l, d·x) of [e_a, e_b]
-    nz = [[[(l, int(x * d)) for l, x in enumerate(v) if x] for v in fa] for fa in g.f]
+    nz = [[[(l, int(x * d)) for l, x in v] for v in fa] for fa in g._nz]
     for i in range(m):
         for j in range(m):
             ij, nz_j = nz[i][j], nz[j]
@@ -182,15 +194,15 @@ def _series(g: LieAlgebra, lower_central: bool) -> tuple[Subspace, ...]:
     terms = [full_subspace(m)]
     while not terms[-1].is_zero():
         cur = terms[-1]
-        vs = cur.vectors()
+        vs = [vec_nonzeros(v) for v in cur.vectors()]
         if lower_central:
-            pairs = ((unit_vec(m, i), b) for i in range(m) for b in vs)
+            pairs = ((((i, ONE),), b) for i in range(m) for b in vs)
         else:
             # antisymmetry: pairs with a <= b contribute nothing new
             pairs = ((vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
         ech = Echelon(m)
         for x, y in pairs:
-            ech.insert(bracket(g, x, y))
+            ech.insert(_bracket(g, x, y))
             # [S, S] and [G, S] lie in S: at full rank the next term is S
             if ech.rank == cur.dim:
                 break
@@ -220,7 +232,7 @@ def _killing_form(g: LieAlgebra) -> Matrix:
     """The Killing form summed over the nonzero brackets only."""
     m = g.dim
     # (k, l, x): [e_i, e_k] has the nonzero coordinate x on e_l
-    nonzero = [[(k, l, x) for k, v in enumerate(fi) for l, x in enumerate(v) if x] for fi in g.f]
+    nonzero = [[(k, l, x) for k, v in enumerate(nzi) for l, x in v] for nzi in g._nz]
     K = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
@@ -280,7 +292,7 @@ def lie_radical(g: LieAlgebra) -> Subspace:
     """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0)."""
     m = g.dim
     ech = Echelon(m)
-    for v in (g.f[i][j] for i in range(m) for j in range(i + 1, m)):
+    for v in (g.f[i][j] for i in range(m) for j in range(i + 1, m) if g._nz[i][j]):
         ech.insert(v)
         # [g, g] lies in g: at full rank the rest adds nothing
         if ech.rank == m:
@@ -288,20 +300,28 @@ def lie_radical(g: LieAlgebra) -> Subspace:
     derived = ech.subspace()
     if derived.is_zero():
         return full_subspace(m)
-    K = killing_form(g)
-    return kernel(Matrix.from_rows([K.vecmat(d) for d in derived.vectors()]))
+    # the rows K·d, summed over the nonzero entries of d and of K
+    K = [vec_nonzeros(r) for r in killing_form(g).entries]
+    rows = []
+    for d in derived.vectors():
+        row = [ZERO] * m
+        for i, x in vec_nonzeros(d):
+            for j, y in K[i]:
+                row[j] += x * y
+        rows.append(tuple(row))
+    return kernel(Matrix.from_rows(rows))
 
 
 def lie_center(g: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}."""
     m = g.dim
-    if m == 0:
-        return full_subspace(0)
-    rows = []
-    for j in range(m):
-        for l in range(m):
-            rows.append(tuple(g.f[i][j][l] for i in range(m)))
-    return kernel(Matrix.from_rows(rows))
+    # row (j, l) holds the e_l-coordinates of the [e_i, e_j]; only nonzero rows are built
+    rows = {}
+    for i, nzi in enumerate(g._nz):
+        for j, v in enumerate(nzi):
+            for l, x in v:
+                rows.setdefault((j, l), [ZERO] * m)[i] = x
+    return kernel(Matrix.from_rows([tuple(r) for _, r in sorted(rows.items())], m))
 
 
 def check_grading(g: LieAlgebra, gr: Grading) -> GradingVerdict:
@@ -312,9 +332,8 @@ def check_grading(g: LieAlgebra, gr: Grading) -> GradingVerdict:
     for i in range(m):
         for j in range(i + 1, m):
             parity = gr.signs[i] * gr.signs[j]
-            v = g.f[i][j]
-            for l in range(m):
-                if v[l] and gr.signs[l] != parity:
+            for l, _ in g._nz[i][j]:
+                if gr.signs[l] != parity:
                     return GradingVerdict(False, (i + 1, j + 1), l + 1)
     return GradingVerdict(True)
 

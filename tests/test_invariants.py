@@ -1,0 +1,154 @@
+"""The invariants read from the cached nonzero brackets and products agree
+with the dense reference scans of ``invariants_reference``."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import invariants_reference as ref
+from lietriple.classify import fingerprint
+from lietriple.core import (
+    TripleSystem,
+    derived_series,
+    derived_subspace,
+    lts_center,
+    transform,
+    triple_product,
+)
+from lietriple.embed import standard_embedding
+from lietriple.exactla import Echelon, Matrix, full_subspace, span
+from lietriple.lie import (
+    Grading,
+    LieAlgebra,
+    bracket,
+    check_grading,
+    check_jacobi,
+    killing_form,
+    lie_center,
+    lie_derived_series,
+    lie_radical,
+    lower_central_series,
+)
+from util import random_invertible, random_rational, sphere_system
+
+
+def hand_built_algebra():
+    """so(3) with rescaled brackets, plus a non-abelian plane and a central line."""
+    h = Fraction(1, 2)
+    g = LieAlgebra.from_entries(
+        6,
+        {
+            (0, 1): (0, 0, h, 0, 0, 0),
+            (1, 2): (Fraction(3, 2), 0, 0, 0, 0, 0),
+            (0, 2): (0, Fraction(-2, 3), 0, 0, 0, 0),
+            (3, 4): (0, 0, 0, Fraction(1, 3), h, 0),
+        },
+    )
+    assert check_jacobi(g).ok
+    return g
+
+
+def systems(entries):
+    rng = random.Random(20261019)
+    out = [e.system for e in entries]
+    out += [transform(t, random_invertible(rng, t.dim)) for t in out for _ in range(2)]
+    out += [sphere_system(k) for k in range(2, 8)]
+    out += [TripleSystem.abelian(n) for n in range(4)]
+    return out
+
+
+def random_vec(rng, n):
+    # about a third of the entries are zero
+    return tuple(random_rational(rng, dens=(1, 3)) if rng.random() < 0.67 else Fraction(0) for _ in range(n))
+
+
+def random_tensor(rng, n):
+    """An alternating tensor with a few nonzero products, not a triple system."""
+    keys = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    return TripleSystem.from_entries(n, {key: random_vec(rng, n) for key in rng.sample(keys, n)})
+
+
+def test_triple_system_invariants_match_dense_reference(entries):
+    rng = random.Random(7)
+    # the tensors fail the cyclic identity, which ties the two halves of the centre
+    tensors = [random_tensor(rng, n) for n in (2, 3, 3, 4, 4)]
+    for t in systems(entries) + tensors:
+        n = t.dim
+        assert lts_center(t) == ref.lts_center(t), t
+        oms = [full_subspace(n), span([random_vec(rng, n) for _ in range(2)], n)]
+        oms += derived_series(t, full_subspace(n)).terms
+        for om in oms:
+            assert derived_subspace(t, om) == ref.derived_subspace(t, om), t
+        for _ in range(3):
+            x, y, z = (random_vec(rng, n) for _ in range(3))
+            assert triple_product(t, x, y, z) == ref.triple_product(t, x, y, z), t
+
+
+def test_lie_invariants_match_dense_reference(entries):
+    rng = random.Random(8)
+    algebras = [standard_embedding(t).algebra for t in systems(entries)]
+    algebras += [LieAlgebra.abelian(m) for m in range(4)] + [hand_built_algebra()]
+    gradings = 0
+    for g in algebras:
+        m = g.dim
+        assert lie_derived_series(g) == ref._series(g, lower_central=False)
+        assert lower_central_series(g) == ref._series(g, lower_central=True)
+        assert killing_form(g) == ref._killing_form(g)
+        assert lie_radical(g) == ref.lie_radical(g)
+        assert lie_center(g) == ref.lie_center(g)
+        for _ in range(3):
+            x, y = random_vec(rng, m), random_vec(rng, m)
+            assert bracket(g, x, y) == ref.bracket(g, x, y)
+        for _ in range(2):
+            gr = Grading(tuple(rng.choice((1, -1)) for _ in range(m)))
+            verdict = check_grading(g, gr)
+            assert verdict == ref.check_grading(g, gr)
+            gradings += not verdict
+    # the random gradings reach the first-offender paths
+    assert gradings >= 20
+
+
+def test_hand_built_algebra_has_its_expected_invariants():
+    g = hand_built_algebra()
+    e = [tuple(Fraction(int(c == i)) for c in range(6)) for i in range(6)]
+    assert lie_radical(g) == span(e[3:], 6)
+    assert lie_center(g) == span(e[5:], 6)
+    assert tuple(s.dim for s in lie_derived_series(g)) == (6, 4, 3, 3)
+
+
+def test_public_products_coerce_and_check_their_arguments(by_label):
+    t = by_label["dim3-II"].system
+    g = standard_embedding(t).algebra
+    x, y, z = (1, "1/2", 0), ("-3", 0, 2), (0, "2/3", 1)
+    as_fractions = [tuple(Fraction(v) for v in w) for w in (x, y, z)]
+    assert triple_product(t, x, y, z) == ref.triple_product(t, *as_fractions)
+    gx, gy = (1, "1/2", 0, "-2"), ("3/4", 0, 1, 5)
+    assert bracket(g, gx, gy) == ref.bracket(g, gx, gy)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        triple_product(t, x, y, (1, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bracket(g, gx, (1, 0, 0))
+
+
+def test_fingerprint_forms_no_dense_products_and_centres_get_no_zero_rows(monkeypatch):
+    t = sphere_system(4)
+    g = standard_embedding(t).algebra
+
+    def refuse(*args):
+        raise AssertionError("dense Matrix.vecmat called")
+
+    monkeypatch.setattr(Matrix, "vecmat", refuse)
+    fingerprint(t)
+    inserted = []
+    insert = Echelon.insert
+
+    def record(self, v):
+        inserted.append(tuple(v))
+        return insert(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", record)
+    lie_center(g)
+    lts_center(t)
+    assert inserted
+    assert all(any(v) for v in inserted)
