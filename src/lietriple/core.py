@@ -259,17 +259,16 @@ def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
 
 def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     """Span of (M, om, om): all (e_i, a, b) with a, b over the basis of om."""
-    n = t.dim
-    if om.ambient_dim != n:
+    if om.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     vs = [vec_nonzeros(v) for v in om.vectors()]
-    ech = Echelon(n)
-    for i in range(n):
+    ech = Echelon(t.dim)
+    for i in range(t.dim):
         for a in vs:
             for b in vs:
                 ech.insert(_triple(t, ((i, ONE),), a, b))
                 # (M, om, om) lies in M: at full rank the rest adds nothing
-                if ech.rank == n:
+                if ech.rank == t.dim:
                     return ech.subspace()
     return ech.subspace()
 

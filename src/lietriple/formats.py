@@ -25,6 +25,7 @@ import re
 from fractions import Fraction
 
 from .core import TripleSystem
+from .exactla import ZERO
 from .lie import Grading, LieAlgebra
 
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
@@ -119,7 +120,7 @@ def parse_lts(text: str) -> TripleSystem:
         if q == 0:
             raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
         key = (i - 1, j - 1, k - 1)
-        vec = list(entries.get(key, [Fraction(0)] * n))
+        vec = list(entries.get(key, [ZERO] * n))
         vec[l - 1] = q
         entries[key] = vec
     return TripleSystem.from_entries(n, {k: tuple(v) for k, v in entries.items()})
@@ -174,7 +175,7 @@ def parse_lie(text: str) -> tuple[LieAlgebra, Grading | None]:
         if q == 0:
             raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
         key = (i - 1, j - 1)
-        vec = list(entries.get(key, [Fraction(0)] * m))
+        vec = list(entries.get(key, [ZERO] * m))
         vec[k - 1] = q
         entries[key] = vec
     return LieAlgebra.from_entries(m, {k: tuple(v) for k, v in entries.items()}), grading
