@@ -1,11 +1,10 @@
-"""Pure-Python twin of the compiled witness-search kernel.
+"""The witness-search kernel: one stage of the candidate enumeration.
 
-Must stay observationally identical to ``_speedups.stage_search``: same
-candidate order, same counting, same hit.  The compiled kernel walks every
-n*n digit tuple of a stage with an odometer; this one places T one row at a
-time, depth first, each row running through the ``len(vals)**n`` digit rows
-in lexicographic order, which visits the candidates in that same row-major
-order.  It cuts two kinds of subtree:
+The candidates of a stage are the n*n digit tuples over its values in
+row-major lexicographic order.  ``stage_search`` places T one row at a
+time, depth first, each row running through the ``len(vals)**n`` digit
+rows in lexicographic order, which visits the candidates in that order
+without walking every tuple.  It cuts two kinds of subtree:
 
 * a row that is dependent on the rows above it: every completion is
   singular, and singular candidates are never counted;
@@ -13,8 +12,8 @@ order.  It cuts two kinds of subtree:
   no completion is a hit, so the subtree's invertible candidates are
   counted exactly, without being visited, and added to ``tested``.
 
-All arithmetic is over plain Python ints (the driver pre-scales every
-rational input), so there is no overflow concern here.
+All arithmetic is over Python ints (the driver pre-scales every rational
+input), which are exact at any size.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .exactla import (
     ZERO,
     full_subspace,
     kernel,
-    unit_vec,
     vec,
     vec_is_zero,
     vec_neg,
@@ -355,9 +354,11 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
     entries = {}
     for a in range(n):
         for b in range(a + 1, n):
-            inner = g.f[minus[a]][minus[b]]
+            inner = g._nz[minus[a]][minus[b]]
+            if not inner:
+                continue
             for k in range(n):
-                double = bracket(g, inner, unit_vec(g.dim, minus[k]))
+                double = _bracket(g, inner, ((minus[k], ONE),))
                 coords = tuple(double[minus[l]] for l in range(n))
                 # parity guarantees the plus-part of the double bracket vanishes
                 if not vec_is_zero(coords):

@@ -1,8 +1,7 @@
 """Deterministic search for a basis change carrying one triple system to
 another.
 
-Candidate matrices are enumerated in a fixed global order shared by the
-compiled and pure-Python kernels:
+Candidate matrices are enumerated in a fixed global order:
 
 * Entry values are ordered by *level*: level 1 is [0, 1, -1]; level s > 1
   appends every rational p/q in lowest terms with max(|p|, q) = s, ordered
@@ -15,14 +14,13 @@ compiled and pure-Python kernels:
 * Singular matrices are skipped without counting; every invertible
   candidate tested counts against the budget.
 
-The kernel backend is chosen at import: the compiled extension when it
-built, otherwise the pure-Python twin.  Set LIETRIPLE_PURE=1 to force the
-pure path.
+The driver below scales both tensors and each stage's values to
+integers; ``_witness_py.stage_search`` scans one stage over Python ints,
+so the products stay exact at any size.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -30,17 +28,7 @@ from . import _witness_py
 from .core import TripleSystem, integer_tensor
 from .exactla import Matrix
 
-if os.environ.get("LIETRIPLE_PURE") == "1":
-    _speedups = None
-else:
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
-
-BACKEND = "c" if _speedups is not None else "python"
-
-_INT64_GUARD = 2**62
+BACKEND = "python"
 
 
 def level_values(s: int) -> list[Fraction]:
@@ -67,15 +55,6 @@ def value_prefix(stage: int) -> list[Fraction]:
     return out
 
 
-def _stage_fits_int64(n, max_a, max_b, da, db, vals_scaled, scale, n_entries):
-    max_t = max((abs(v) for v in vals_scaled), default=0)
-    if max_t == 0:
-        return True
-    lhs_bound = max(n_entries, 1) * 2 * max_t**3 * max_a * max(db, 1)
-    rhs_bound = n * max_b * max_t * da * scale * scale
-    return lhs_bound < _INT64_GUARD and rhs_bound < _INT64_GUARD
-
-
 def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | None:
     """First basis-change matrix T (in enumeration order) with
     transform(a, T) == b, scanning at most ``budget`` invertible candidates.
@@ -95,8 +74,6 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     for (i, j, k), pairs in sb.items():
         for l, x in pairs:
             b_flat[((i * n + j) * n + k) * n + l] = x
-    max_a = max((abs(e[4]) for e in a_entries), default=0)
-    max_b = max((abs(x) for x in b_flat), default=0)
 
     remaining = budget
     stage = 1
@@ -105,17 +82,8 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
         vals = value_prefix(stage)
         scale = lcm(*[v.denominator for v in vals])
         vals_scaled = [int(v * scale) for v in vals]
-        new_start = prev_count
-        m_lhs = db
-        m_rhs = da * scale * scale
-        use_c = (
-            _speedups is not None
-            and n <= 5
-            and _stage_fits_int64(n, max_a, max_b, da, db, vals_scaled, scale, len(a_entries))
-        )
-        kernel = _speedups if use_c else _witness_py
-        tested, digits = kernel.stage_search(
-            n, a_entries, b_flat, vals_scaled, new_start, remaining, m_lhs, m_rhs
+        tested, digits = _witness_py.stage_search(
+            n, a_entries, b_flat, vals_scaled, prev_count, remaining, db, da * scale * scale
         )
         remaining -= tested
         if digits is not None:

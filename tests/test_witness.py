@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import lietriple._witness_py as wpy
-import lietriple.witness as witness
 import witness_reference as ref
 from lietriple.core import TripleSystem, integer_tensor, transform
 from lietriple.exactla import Echelon, Matrix
@@ -35,8 +34,8 @@ ISOMORPHIC_GROUPS = [TIED_GROUPS[1], TIED_GROUPS[2], TIED_GROUPS[5]]
 
 @pytest.fixture
 def driver_calls(monkeypatch):
-    """Run ``search_witness`` on the pure kernel, checking every call it
-    makes against the reference; the checked calls are recorded here."""
+    """Run ``search_witness``, checking every kernel call it makes against
+    the reference; the checked calls are recorded here."""
     calls = []
     kernel = wpy.stage_search
 
@@ -46,7 +45,6 @@ def driver_calls(monkeypatch):
         calls.append((args, got))
         return got
 
-    monkeypatch.setattr(witness, "_speedups", None)
     monkeypatch.setattr(wpy, "stage_search", checked)
     return calls
 
@@ -83,10 +81,22 @@ def test_kernel_matches_reference_on_tied_pairs(by_label, driver_calls):
 
 
 def test_kernel_matches_reference_past_the_first_stage(by_label, driver_calls):
-    # an n = 3 miss that exhausts stage 1 (11,808 invertible candidates)
+    # an n = 3 miss that exhausts stage 1 (11,808 invertible candidates),
+    # an n = 2 hit in stage 2 and an n = 2 miss that runs out in stage 3
     search_witness(by_label["split-3"].system, by_label["split-4"].system, 12500)
-    assert [args[4] for args, _ in driver_calls] == [0, 3]
-    assert [got for _, got in driver_calls] == [(11808, None), (692, None)]
+    a = by_label["dim2-1"].system
+    search_witness(a, transform(a, Matrix.from_rows([[2, 1], [1, 1]])), 25000)
+    search_witness(by_label["dim2-2"].system, by_label["dim2-3"].system, 2500)
+    assert [args[4] for args, _ in driver_calls] == [0, 3, 0, 3, 0, 3, 7]
+    assert [got for _, got in driver_calls] == [
+        (11808, None),
+        (692, None),
+        (48, None),
+        (356, (1, 3, 1, 1)),
+        (48, None),
+        (2032, None),
+        (420, None),
+    ]
 
 
 def test_kernel_matches_reference_on_basis_changes(by_label, driver_calls):
@@ -129,6 +139,9 @@ def test_kernel_budgets_around_hits_and_inside_cut_subtrees(by_label, driver_cal
 
 
 def test_kernel_stage_with_new_start(by_label):
+    # stage 1 alone: the first automorphism of dim2-1 over {0, 1, -1}
+    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["dim2-1"].system, by_label["dim2-1"].system)
+    assert assert_same(n, a_entries, b_flat, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)[1] is not None
     # stage 2 alone, with tuples over the stage-1 values excluded, scaled by 2
     vals = [0, 2, -2, 4, -4, 1, -1]
     for a, b, budget in (("dim3-III+", "dim3-IV+", 3000), ("split-5", "split-6", 3000), ("dim2-1", "dim2-1", 10**6)):
