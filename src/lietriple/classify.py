@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import TripleSystem, derived_series, lts_center, transform
-from .embed import decompose, is_canonical, standard_embedding
+from .embed import decompose, standard_embedding
 from .exactla import Matrix, full_subspace
 from .lie import (
     KillingSignature,
@@ -81,7 +81,10 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
         g_killing=killing_signature(g),
         g_radical_dim=dec.r.dim,
         g_center_dim=lie_center(g).dim,
-        canonical=is_canonical(emb),
+        # is_canonical would rank the rows [e_p, e_i] of the h basis: they are the
+        # D_{e_p,e_q} that standard_embedding kept for raising the rank, so the
+        # rank is always h_dim
+        canonical=True,
     )
 
 

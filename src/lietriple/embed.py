@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvalidLTS, TripleSystem, check_axioms
+from .core import InvalidLTS, TripleSystem, check_axioms, triple_product
 from .exactla import (
     Echelon,
     Matrix,
     Subspace,
     ZERO,
     span,
-    subspace_intersect,
     unit_vec,
     vec,
     vec_is_zero,
@@ -41,7 +40,13 @@ from .lie import Grading, LieAlgebra, lie_radical, require_grading
 
 @dataclass(frozen=True)
 class StandardEmbedding:
-    """A triple system together with its enveloping graded Lie algebra."""
+    """A triple system together with its enveloping graded Lie algebra.
+
+    Built by standard_embedding, it is canonical by construction: the basis
+    of h is a set of inner derivations independent as maps of M, so no
+    nonzero element of h acts on M as zero and h holds no nonzero ideal.
+    is_canonical tests this for embeddings assembled by hand.
+    """
 
     source: TripleSystem
     algebra: LieAlgebra
@@ -54,8 +59,9 @@ class StandardEmbedding:
 class Decomposition:
     """Radical-side pieces of the enveloping algebra.
 
-    r is the radical of G; m_prime = M ∩ r projected to source coordinates,
-    h_prime = h ∩ r projected to h coordinates; r = m_prime + h_prime.
+    r is the radical of G; m_prime and h_prime are the projections of r to
+    source and to h coordinates.  r is graded, so they are M ∩ r and h ∩ r
+    and r = m_prime + h_prime.
     """
 
     r: Subspace
@@ -67,24 +73,11 @@ def inner_derivation(t: TripleSystem, x, y) -> Matrix:
     """Matrix of z -> (x, y, z); column k is the product (x, y, e_k)."""
     n = t.dim
     x, y = vec(x), vec(y)
+    # triple_product checks the lengths too, but makes no call when n = 0
     if len(x) != n or len(y) != n:
         raise ValueError("dimension mismatch")
-    cols = []
-    for k in range(n):
-        col = [ZERO] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                v = t.c[i][j][k]
-                s = xi * yj
-                for l in range(n):
-                    if v[l]:
-                        col[l] += s * v[l]
-        cols.append(col)
-    return Matrix.from_rows([[cols[k][l] for k in range(n)] for l in range(n)], n)
+    cols = [triple_product(t, x, y, unit_vec(n, k)) for k in range(n)]
+    return Matrix.from_rows(cols, n).transpose()
 
 
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
@@ -158,19 +151,20 @@ def is_canonical(e: StandardEmbedding) -> bool:
 
 
 def decompose(e: StandardEmbedding) -> Decomposition:
-    """Radical of the enveloping algebra split into its M and h parts."""
-    g = e.algebra
-    m = g.dim
+    """Radical of the enveloping algebra split into its M and h parts.
+
+    The parts are the projections of the radical's basis onto the M and
+    the h coordinates: the radical is invariant under the grading
+    involution, so it is the sum of its parts in M and in h.
+    """
+    r = lie_radical(e.algebra)
     n = e.source.dim
-    r = lie_radical(g)
-    m_span = span([unit_vec(m, i) for i in range(n)], m)
-    h_span = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
-    m_part = subspace_intersect(r, m_span)
-    h_part = subspace_intersect(r, h_span)
-    if m_part.dim + h_part.dim != r.dim:
+    # r lies in π_M(r) + π_h(r), with equality exactly when r is graded;
+    # then the projections are r ∩ M and r ∩ h
+    m_prime = span([v[:n] for v in r.vectors()], n)
+    h_prime = span([v[n:] for v in r.vectors()], e.h_dim)
+    if m_prime.dim + h_prime.dim != r.dim:
         raise AssertionError("radical is not graded by the involution")
-    m_prime = span([v[:n] for v in m_part.vectors()], n)
-    h_prime = span([v[n:] for v in h_part.vectors()], e.h_dim)
     return Decomposition(r, m_prime, h_prime)
 
 

@@ -1,19 +1,33 @@
-"""Reference standard embedding: brackets from matrix commutators.
+"""Reference standard embedding and radical decomposition.
 
-This is the original ``standard_embedding``: it builds every basis
+``standard_embedding`` is the original one: it builds every basis
 derivation D_{e_i,e_j} as a dense matrix, reads the coordinates of each
 one off an echelon of the flattened matrices, and computes every h-h
 bracket as the commutator AB - BA of two basis matrices.  The tests
 compare ``lietriple.embed.standard_embedding``, which reads all of this
 off the structure tensor, against it byte for byte.
+
+``decompose`` is the original radical split: it intersects the radical
+with the coordinate spans of M and of h by Zassenhaus reduction.  The
+tests compare ``lietriple.embed.decompose``, which projects the radical's
+basis instead, against it.
 """
 
 from __future__ import annotations
 
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms
-from lietriple.embed import StandardEmbedding, inner_derivation
-from lietriple.exactla import Echelon, Matrix, ZERO, unit_vec, vec_is_zero, vec_neg
-from lietriple.lie import Grading, LieAlgebra
+from lietriple.embed import Decomposition, StandardEmbedding, inner_derivation
+from lietriple.exactla import (
+    Echelon,
+    Matrix,
+    ZERO,
+    span,
+    subspace_intersect,
+    unit_vec,
+    vec_is_zero,
+    vec_neg,
+)
+from lietriple.lie import Grading, LieAlgebra, lie_radical
 
 
 def _flat(m: Matrix):
@@ -65,3 +79,20 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     algebra = LieAlgebra.from_entries(m, entries)
     grading = Grading(tuple([-1] * n + [1] * h_dim))
     return StandardEmbedding(t, algebra, grading, tuple(h_basis), h_dim)
+
+
+def decompose(e: StandardEmbedding) -> Decomposition:
+    """Radical of the enveloping algebra split into its M and h parts."""
+    g = e.algebra
+    m = g.dim
+    n = e.source.dim
+    r = lie_radical(g)
+    m_span = span([unit_vec(m, i) for i in range(n)], m)
+    h_span = span([unit_vec(m, n + a) for a in range(e.h_dim)], m)
+    m_part = subspace_intersect(r, m_span)
+    h_part = subspace_intersect(r, h_span)
+    if m_part.dim + h_part.dim != r.dim:
+        raise AssertionError("radical is not graded by the involution")
+    m_prime = span([v[:n] for v in m_part.vectors()], n)
+    h_prime = span([v[n:] for v in h_part.vectors()], e.h_dim)
+    return Decomposition(r, m_prime, h_prime)

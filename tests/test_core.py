@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,36 @@ E1, E2 = (1, 0), (0, 1)
 def test_construction_rejects_nonalternating_tensor():
     with pytest.raises(InvalidLTS):
         TripleSystem(1, ((((Fraction(1),),),),))
+
+
+def test_tensor_rejections_keep_their_messages():
+    zero = (Fraction(0),) * 2
+    one = (Fraction(1), Fraction(0))
+    minus = (Fraction(-1), Fraction(0))
+
+    def tensor(products):
+        return tuple(
+            tuple(tuple(products.get((i, j, k), zero) for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+
+    assert TripleSystem(2, tensor({(0, 1, 0): one, (1, 0, 0): minus})).c[0][1][0] == one
+    with pytest.raises(ValueError, match="tensor shape does not match dimension"):
+        TripleSystem(2, tensor({})[:1])
+    for products, message in (
+        ({(0, 0, 1): one}, "(e1,e1,e2) must vanish"),
+        ({(1, 1, 0): one}, "(e2,e2,e1) must vanish"),
+        # for each i, the (e_i,e_i,e_k) come before the antisymmetry at (i, j, k)
+        ({(0, 0, 1): one, (0, 1, 0): one}, "(e1,e1,e2) must vanish"),
+        ({(1, 1, 0): one, (0, 1, 0): one}, "antisymmetric in the first two slots at (1,2,1)"),
+    ):
+        with pytest.raises(InvalidLTS, match=re.escape(message)):
+            TripleSystem(2, tensor(products))
+    # only one side nonzero, either side, and both nonzero but equal
+    message = re.escape("tensor not antisymmetric in the first two slots at (1,2,2)")
+    for products in ({(0, 1, 1): one}, {(1, 0, 1): one}, {(0, 1, 1): one, (1, 0, 1): one}):
+        with pytest.raises(InvalidLTS, match=message):
+            TripleSystem(2, tensor(products))
 
 
 def test_from_entries_fills_antisymmetric_half():

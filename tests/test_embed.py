@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,9 @@ from lietriple.lie import (
     bracket,
     check_grading,
     check_jacobi,
+    lie_radical,
 )
+from lietriple.classify import fingerprint
 from lietriple.core import derived_series, is_ideal
 from lietriple.formats import serialize_lie
 from util import random_invertible, sphere_system
@@ -125,8 +128,32 @@ def test_h_dim_equals_rank_of_all_derivations(entries):
 
 
 def test_is_canonical_for_all_embeddings(entries):
-    for e in entries:
-        assert is_canonical(standard_embedding(e.system)), e.label
+    # standard_embedding keeps only derivations that raise the rank, so the
+    # rank test always passes, and fingerprint takes canonical from that
+    rng = random.Random(67)
+    systems = [(e.label, e.system) for e in entries]
+    systems += [
+        (f"{e.label} changed", transform(e.system, random_invertible(rng, e.system.dim)))
+        for e in entries
+    ]
+    systems += [(f"sphere {k}", sphere_system(k)) for k in range(2, 8)]
+    for name, t in systems:
+        canonical = is_canonical(standard_embedding(t))
+        assert canonical, name
+        assert fingerprint(t).canonical == canonical, name
+
+
+def test_fingerprint_recomputes_nothing_the_construction_settles(monkeypatch, by_label):
+    def refuse(*args):
+        raise AssertionError("rank test or subspace intersection called")
+
+    for module in ("lietriple.classify", "lietriple.embed", "lietriple.exactla"):
+        module = importlib.import_module(module)
+        for name in ("is_canonical", "subspace_intersect"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for t in (by_label["split-2"].system, by_label["dim3-VI"].system, sphere_system(4)):
+        assert fingerprint(t).canonical
 
 
 def fixpoint_is_canonical(e):
@@ -223,6 +250,46 @@ def test_decompose_split_entry(by_label):
     dec = decompose(e)
     assert dec.m_prime == span([(1, 0, 0)], 3)
     assert dec.r.dim == dec.m_prime.dim + dec.h_prime.dim
+
+
+def test_decompose_matches_intersection_reference(entries):
+    # the projections of the radical's basis equal its intersections with M and h
+    rng = random.Random(20261019)
+    systems = [(e.label, e.system) for e in entries]
+    systems += [
+        (f"{e.label} changed {r}", transform(e.system, random_invertible(rng, e.system.dim)))
+        for e in entries
+        for r in range(2)
+    ]
+    systems += [(f"sphere {k}", sphere_system(k)) for k in range(2, 8)]
+    for name, t in systems:
+        emb = standard_embedding(t)
+        assert decompose(emb) == ref.decompose(emb), name
+
+
+def test_decompose_rejects_an_ungraded_radical():
+    # sl2 + Q z in the basis h, e, f, f + z with the last vector in h: the
+    # radical Q z = Q (e4 - e3) meets neither M nor h
+    brackets = {
+        (0, 1): (0, 2, 0, 0),
+        (0, 2): (0, 0, -2, 0),
+        (1, 2): (1, 0, 0, 0),
+        (0, 3): (0, 0, -2, 0),
+        (1, 3): (1, 0, 0, 0),
+    }
+    g = LieAlgebra.from_entries(4, brackets)
+    assert check_jacobi(g).ok
+    assert lie_radical(g) == span([(0, 0, -1, 1)], 4)
+    fake = StandardEmbedding(
+        source=TripleSystem.abelian(3),
+        algebra=g,
+        grading=Grading((-1, -1, -1, 1)),
+        h_basis=(Matrix.zeros(3, 3),),
+        h_dim=1,
+    )
+    for split in (decompose, ref.decompose):
+        with pytest.raises(AssertionError, match="radical is not graded by the involution"):
+            split(fake)
 
 
 def test_lts_radical_catalog(entries):
