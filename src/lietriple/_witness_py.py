@@ -4,13 +4,22 @@ The candidates of a stage are the n*n digit tuples over its values in
 row-major lexicographic order.  ``stage_search`` places T one row at a
 time, depth first, each row running through the ``len(vals)**n`` digit
 rows in lexicographic order, which visits the candidates in that order
-without walking every tuple.  It cuts two kinds of subtree:
+without walking every tuple.  It cuts three kinds of subtree:
 
 * a row that is dependent on the rows above it: every completion is
   singular, and singular candidates are never counted;
 * a prefix on which an equation of ``transform(a, T) == b`` already fails:
   no completion is a hit, so the subtree's invertible candidates are
-  counted exactly, without being visited, and added to ``tested``.
+  counted exactly, without being visited, and added to ``tested``;
+* the last row, which is solved for rather than scanned.  Every equation
+  that reads the last row v is linear in v, except those whose wedge and
+  third argument both read it.  The linear ones, reduced by fraction-free
+  elimination, leave an affine solution set, and only its points on the
+  value grid are checked in full.  Without a hit the row's invertible
+  candidates are counted as in a cut; with one, the candidates before it
+  are counted from the dot products of their suffixes.  When the linear
+  equations constrain no coordinate (n = 1, abelian systems), the last
+  row is scanned.
 
 All arithmetic is over Python ints (the driver pre-scales every rational
 input), which are exact at any size.
@@ -46,8 +55,12 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     """
     budget = max(budget, 1)  # the odometer checks one candidate even at budget 0
     nvals = len(vals)
+    last = n - 1
     equations = _equations_by_row(n, a_entries, b_flat)
+    # the equations on the last row that are linear in it
+    linear = [eq for eq in equations[last] if not eq[1] == eq[2] == last]
     pairs = _pairs(a_entries)
+    digit_of = {v: d for d, v in enumerate(vals)}
     rows = [None] * n  # value rows placed so far
     drows = [None] * n  # their digit rows
     # perp[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
@@ -57,18 +70,23 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     last_counts = {}
     tested = 0
 
+    def image(i, j, k):
+        """(T_i, T_j, T_k) in the source system, in source coordinates."""
+        Ti, Tj, Tk = rows[i], rows[j], rows[k]
+        lhs = [0] * n
+        for a, b, terms in pairs:
+            w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
+            if w:
+                for c, l, val in terms:
+                    x = Tk[c]
+                    if x:
+                        lhs[l] += w * x * val
+        return lhs
+
     def holds(depth):
         """Equations decided by the row just placed at ``depth``."""
         for i, j, k, brow in equations[depth]:
-            Ti, Tj, Tk = rows[i], rows[j], rows[k]
-            lhs = [0] * n
-            for a, b, terms in pairs:
-                w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
-                if w:
-                    for c, l, val in terms:
-                        x = Tk[c]
-                        if x:
-                            lhs[l] += w * x * val
+            lhs = image(i, j, k)
             for l in range(n):
                 rhs = 0
                 for d, bv in brow:
@@ -77,10 +95,40 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
                     return False
         return True
 
+    def residuals():
+        """Both sides' difference in every coordinate of every linear
+        equation on the last row."""
+        out = []
+        for i, j, k, brow in linear:
+            lhs = image(i, j, k)
+            for l in range(n):
+                out.append(lhs[l] * m_lhs - m_rhs * sum(bv * rows[d][l] for d, bv in brow))
+        return out
+
+    def solutions():
+        """The rows over vals that satisfy every linear equation on the
+        last row, as (digits, values) in digit order; None when those
+        equations constrain no coordinate."""
+        # the residuals are affine in the last row: read them at 0 and at
+        # each unit vector
+        rows[last] = (0,) * n
+        base = residuals()
+        columns = []
+        for unit in perp[0]:
+            rows[last] = unit
+            columns.append([x - y for x, y in zip(residuals(), base)])
+        system = [[col[e] for col in columns] + [-b] for e, b in enumerate(base)]
+        pivots = _reduced_echelon(system, n)
+        if pivots is None:
+            return []
+        if not pivots:
+            return None
+        return _grid_points(pivots, n, vals, digit_of)
+
     def last_rows(has_new):
         """Invertible last rows under rows[:n - 1], with a digit new to the
         stage unless ``has_new``, memoised on the rows' normal."""
-        (w,) = perp[n - 1]
+        (w,) = perp[last]
         if next(x for x in w if x) < 0:
             w = tuple(-x for x in w)
         key = (w, has_new)
@@ -92,10 +140,62 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
             last_counts[key] = count
         return count
 
+    def rows_before(drow, has_new):
+        """The rows last_rows(has_new) counts that come before ``drow``:
+        for each position p, those that agree with drow before p and are
+        smaller at p, counted by the dot products of their suffixes."""
+        (w,) = perp[last]
+        count = 0
+        s = 0  # w . the values of drow before p
+        old = not has_new  # no digit of drow before p is new
+        for p, dp in enumerate(drow):
+            rest = n - p - 1
+            sums = _sums(w[p + 1 :], vals)
+            for e in range(dp):
+                count += nvals**rest - sums.get(-s - w[p] * vals[e], 0)
+            if old:
+                sums = _sums(w[p + 1 :], vals[:new_start])
+                for e in range(min(dp, new_start)):
+                    count -= new_start**rest - sums.get(-s - w[p] * vals[e], 0)
+                old = dp < new_start
+            s += w[p] * vals[dp]
+        return count
+
+    def place_last(has_new):
+        """Place the last row: (tested, digits) at the hit, (budget, None)
+        when the budget runs out, None when no last row is a hit."""
+        nonlocal tested
+        (w,) = perp[last]
+        points = solutions()
+        scan = points is None
+        if scan:
+            points = zip(product(range(nvals), repeat=n), product(vals, repeat=n))
+        for drow, row in points:
+            # a tuple without a new digit belongs to an earlier stage
+            if not (has_new or max(drow) >= new_start) or not sum(x * y for x, y in zip(w, row)):
+                continue
+            rows[last] = row
+            if holds(last):
+                before = 0 if scan else rows_before(drow, has_new)
+                if tested + before >= budget:
+                    return budget, None
+                tested += before + 1
+                drows[last] = drow
+                return tested, sum(drows, ())
+            if scan:
+                tested += 1
+                if tested >= budget:
+                    return budget, None
+        if not scan:
+            tested += last_rows(has_new)
+            if tested >= budget:
+                return budget, None
+        return None
+
     def completions(depth, has_new, cap):
         """Invertible completions of rows[:depth], with a digit new to the
         stage unless ``has_new``; counting stops once it reaches ``cap``."""
-        if depth == n - 1:
+        if depth == last:
             return last_rows(has_new)
         total = 0
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
@@ -111,33 +211,21 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         """Place rows depth.. in order: (tested, digits) at the hit,
         (budget, None) when the budget runs out, None when exhausted."""
         nonlocal tested
-        last = depth == n - 1
-        if last:
-            (w,) = perp[depth]
+        if depth == last:
+            return place_last(has_new)
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
+            perp[depth + 1] = _orthogonal(perp[depth], row)
+            if perp[depth + 1] is None:
+                continue
             new = has_new or max(drow) >= new_start
-            if last:
-                # a tuple without a new digit belongs to an earlier stage
-                if not new or not sum(x * y for x, y in zip(w, row)):
-                    continue
-            else:
-                perp[depth + 1] = _orthogonal(perp[depth], row)
-                if perp[depth + 1] is None:
-                    continue
             rows[depth] = row
             if holds(depth):
                 drows[depth] = drow
-                if last:
-                    tested += 1
-                    return tested, sum(drows, ())
                 found = search(depth + 1, new)
                 if found:
                     return found
             else:
-                if last:
-                    tested += 1
-                else:
-                    tested += completions(depth + 1, new, budget - tested)
+                tested += completions(depth + 1, new, budget - tested)
                 if tested >= budget:
                     return budget, None
         return None
@@ -170,6 +258,57 @@ def _equations_by_row(n, a_entries, b_flat):
                 brow = [(d, b_flat[base + d]) for d in range(n) if b_flat[base + d]]
                 by_row[max([j, k] + [d for d, _ in brow])].append((i, j, k, brow))
     return by_row
+
+
+def _reduced_echelon(system, n):
+    """Reduced echelon form of the integer rows [a_0 .. a_{n-1} | b] of
+    a·x = b by fraction-free elimination: {pivot column: primitive row},
+    each pivot column zero in every other row, or None when the system
+    has no solution."""
+    pivots = {}
+    for r in system:
+        for c, p in pivots.items():
+            if r[c]:
+                r = [p[c] * x - r[c] * y for x, y in zip(r, p)]
+        c = next((c for c in range(n) if r[c]), None)
+        if c is None:
+            if r[n]:
+                return None
+            continue
+        g = gcd(*r)
+        r = [x // g for x in r]
+        for pc, p in list(pivots.items()):
+            if p[c]:
+                q = [r[c] * x - p[c] * y for x, y in zip(p, r)]
+                g = gcd(*q)
+                pivots[pc] = [x // g for x in q]
+        pivots[c] = r
+    return pivots
+
+
+def _grid_points(pivots, n, vals, digit_of):
+    """The solutions of a reduced echelon system whose entries all lie in
+    vals, as sorted (digits, values): the free coordinates run over vals,
+    and each pivot coordinate must divide out exactly to a value."""
+    free = [c for c in range(n) if c not in pivots]
+    points = []
+    for fdigits in product(range(len(vals)), repeat=len(free)):
+        digits = [0] * n
+        row = [0] * n
+        for c, d in zip(free, fdigits):
+            digits[c] = d
+            row[c] = vals[d]
+        for c, p in pivots.items():
+            x, rem = divmod(p[n] - sum(p[f] * row[f] for f in free), p[c])
+            d = digit_of.get(x)
+            if rem or d is None:
+                break
+            digits[c] = d
+            row[c] = x
+        else:
+            points.append((tuple(digits), tuple(row)))
+    points.sort()
+    return points
 
 
 def _orthogonal(perp, row):

@@ -130,8 +130,13 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
 
     The input's fingerprint is computed once and compared with the frozen
     catalog fingerprints.  An empty list means no catalog entry shares
-    it.  Several labels mean the fingerprint (and search, within budget)
-    could not separate the tie; the order follows the catalog.
+    it.  A tie is refined by the bounded search: when it finds a witness
+    to some tied entries, the labels are those entries and every tied
+    entry with a witness from one of them.  Between the catalog's tied
+    entries the search at the default budget finds every witness there
+    is, so a label dropped this way is not isomorphic to the input.  When
+    the search finds no witness, every tied label is kept.  The order
+    follows the catalog.
     """
     from . import catalog
 
@@ -141,5 +146,11 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
     candidates = [e for e in catalog.all_entries() if e.expected == fp]
     if len(candidates) <= 1:
         return [e.label for e in candidates]
-    hits = [e.label for e in candidates if _witness(t, e.system, budget).verdict == "isomorphic"]
-    return hits or [e.label for e in candidates]
+    hits = [e for e in candidates if _witness(t, e.system, budget).verdict == "isomorphic"]
+    if not hits:
+        return [e.label for e in candidates]
+    return [
+        e.label
+        for e in candidates
+        if e in hits or any(_witness(x.system, e.system, budget).verdict == "isomorphic" for x in hits)
+    ]

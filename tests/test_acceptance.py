@@ -40,6 +40,7 @@ from lietriple.embed import lts_radical, standard_embedding, is_canonical
 from lietriple.exactla import Matrix, full_subspace, span, zero_subspace
 from lietriple.formats import parse_lts, serialize_lts
 from lietriple.lie import killing_form, killing_signature, lie_derived_series, lie_to_lts
+from lietriple.witness import search_witness
 from util import random_invertible
 
 DIM3_LABELS = [
@@ -221,6 +222,16 @@ def test_08_fingerprint_invariance_and_separation(entries, by_label):
             assert labels == [e.label], (e.label, labels)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"fingerprint suite took {elapsed:.2f}s"
+
+
+def test_08b_two_dim_miss_at_a_million_candidates(by_label):
+    """dim2-2 and dim2-3 tie on every fingerprint field but have no rational
+    witness: the search at budget 10^6 solves each last row rather than
+    scanning it, and ends well inside a second."""
+    started = time.monotonic()
+    assert search_witness(by_label["dim2-2"].system, by_label["dim2-3"].system, 10**6) is None
+    elapsed = time.monotonic() - started
+    assert elapsed < 1.0, f"2-dim miss took {elapsed:.2f}s"
 
 
 def test_09_killing_identifications(by_label):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lietriple.classify import (
+    DEFAULT_CLASSIFY_BUDGET,
     UnsupportedDimension,
     classify,
     fingerprint,
@@ -142,6 +143,48 @@ def test_classify_direct_sum_examples(by_label):
     assert "dim3-III-" in labels  # 4a ⊕ line is the minus variant of type III
     s2 = direct_sum(by_label["dim2-1"].system, TripleSystem.abelian(1))
     assert classify(s2) == ["split-1a"]
+
+
+@pytest.mark.parametrize(
+    "label, other, rows",
+    [
+        ("dim3-III-", "dim3-IV-", [[0, 1, -3], [Fraction(1, 3), 3, 3], [Fraction(1, 3), 1, -3]]),
+        ("dim3-III+", "dim3-IV+", [[Fraction(1, 3), 3, -1], [1, 1, -1], [Fraction(1, 3), 0, 0]]),
+    ],
+)
+def test_classify_keeps_a_label_the_search_misses(by_label, label, other, rows):
+    """The search finds a witness to the other tied label only; its miss on
+    the input's own label proves nothing, and the witness between the two
+    catalog entries keeps that label."""
+    t = transform(by_label[label].system, Matrix.from_rows(rows))
+    assert isomorphic(t, by_label[label].system, DEFAULT_CLASSIFY_BUDGET).verdict == "unknown"
+    assert isomorphic(t, by_label[other].system, DEFAULT_CLASSIFY_BUDGET).verdict == "isomorphic"
+    assert classify(t) == [label, other]
+
+
+def test_tied_entries_are_decided_by_the_default_search(entries):
+    """classify drops a tied label only when no witness reaches it from an
+    entry the input is isomorphic to: between the catalog's tied entries
+    the search at the default budget finds a witness exactly for the
+    isomorphic pairs, both ways round."""
+    isomorphic_pairs = {
+        frozenset(pair) for pair in (("dim3-III+", "dim3-IV+"), ("dim3-III-", "dim3-IV-"), ("split-5", "split-6"))
+    }
+    for a in entries:
+        for b in entries:
+            if a is not b and a.expected == b.expected:
+                found = search_witness(a.system, b.system, DEFAULT_CLASSIFY_BUDGET) is not None
+                assert found == (frozenset((a.label, b.label)) in isomorphic_pairs), (a.label, b.label)
+
+
+def test_classify_keeps_a_false_tie_exact(by_label):
+    """A hit on one label of a tie between non-isomorphic entries adds no
+    other label: the search between the entries finds no witness."""
+    shear = [[1, 1], [0, 1]]
+    for label in ("dim2-2", "dim2-3", "split-3", "split-4", "split-1b"):
+        t = by_label[label].system
+        T = Matrix.from_rows(shear) if t.dim == 2 else Matrix.from_rows([shear[0] + [0], shear[1] + [0], [0, 0, 1]])
+        assert classify(transform(t, T)) == [label], label
 
 
 def sl2_double_bracket_system():

@@ -3,7 +3,7 @@ import sys
 import time
 from pathlib import Path
 
-from lietriple import catalog, serialize_lts
+from lietriple import catalog, cli, serialize_lts
 from lietriple.cli import main
 from util import sphere_system
 
@@ -213,6 +213,28 @@ def test_help_exit_0(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert out.startswith("usage: lietriple"), argv
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    """The parser is built once per process; a call after a usage error,
+    a --help or a non-default option reads as on a fresh parser."""
+    a = dump(tmp_path, "dim3-III+", "a.lts")
+    b = dump(tmp_path, "dim3-IV+", "b.lts")
+    calls = (
+        ["iso", a, b, "--budget", "x"],
+        ["fingerprint", a],
+        ["--help"],
+        ["iso", a, b, "--budget", "5"],
+        ["iso", a, b],
+    )
+    in_one_process = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert in_one_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 3, 0]
 
 
 def test_catalog_list(capsys):

@@ -1,8 +1,9 @@
 """The row-at-a-time witness kernel against the odometer it replaced.
 
-``lietriple._witness_py.stage_search`` places T one row at a time and
-counts the invertible candidates of every cut subtree without visiting
-them; ``witness_reference.stage_search`` is the original odometer, which
+``lietriple._witness_py.stage_search`` places T one row at a time,
+solves for the last row, and counts the invertible candidates of every
+cut subtree and of every last row it solved past without visiting them;
+``witness_reference.stage_search`` is the original odometer, which
 visits and checks every invertible candidate.  Both must return the same
 ``(tested, digits)`` for every call.
 """
@@ -70,6 +71,17 @@ def assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     return got
 
 
+def assert_budgets_around_hits(hits, rng):
+    """Budget N returns the hit at candidate N, N - 1 runs out one short of
+    it, and seeded budgets below N stop part-way."""
+    for n, a_entries, b_flat, vals, new_start, _, m_lhs, m_rhs in hits:
+        tested, digits = ref.stage_search(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
+        budgets = [tested, tested - 1] + [rng.randint(1, tested - 1) for _ in range(3)]
+        for budget in budgets:
+            got = assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
+            assert got == ((tested, digits) if budget == tested else (budget, None))
+
+
 def test_kernel_matches_reference_on_tied_pairs(by_label, driver_calls):
     # 4000 reaches past the first hit of each isomorphic pair (3587-3625)
     # and, at n = 2, into stages 2 and 3
@@ -127,15 +139,9 @@ def test_kernel_budgets_around_hits_and_inside_cut_subtrees(by_label, driver_cal
     for pair in ISOMORPHIC_GROUPS:
         for a, b in (pair, pair[::-1]):
             search_witness(by_label[a].system, by_label[b].system, 4000)
-    rng = random.Random(7)
     hits = [args for args, (_, digits) in driver_calls if digits is not None]
     assert len(hits) == 6
-    for n, a_entries, b_flat, vals, new_start, _, m_lhs, m_rhs in hits:
-        tested, digits = ref.stage_search(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
-        budgets = [tested, tested - 1] + [rng.randint(1, tested - 1) for _ in range(3)]
-        for budget in budgets:
-            got = assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
-            assert got == ((tested, digits) if budget == tested else (budget, None))
+    assert_budgets_around_hits(hits, random.Random(7))
 
 
 def test_kernel_stage_with_new_start(by_label):
@@ -170,6 +176,106 @@ def test_kernel_dimension_four():
     assert_same(n, a_entries, b_flat, [0, 1], 0, tested - 1, m_lhs, m_rhs)
     n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, TripleSystem.abelian(4))
     assert assert_same(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs) == (22560, None)
+
+
+@pytest.fixture
+def last_row_solves(monkeypatch):
+    """Record each solve of the last row: the reduced system of its linear
+    equations ({} when they constrain nothing, None when they have no
+    solution) and, for a solution set, its grid points."""
+    record = {"systems": [], "points": []}
+    reduce, grid = wpy._reduced_echelon, wpy._grid_points
+
+    def reduced(*args):
+        record["systems"].append(reduce(*args))
+        return record["systems"][-1]
+
+    def points(*args):
+        record["points"].append(grid(*args))
+        return record["points"][-1]
+
+    monkeypatch.setattr(wpy, "_reduced_echelon", reduced)
+    monkeypatch.setattr(wpy, "_grid_points", points)
+    return record
+
+
+def test_last_row_solve_budgets_around_2dim_hits(by_label, driver_calls, last_row_solves):
+    """2-dim hits in stage 2, where the hit's rank among the last rows is
+    counted rather than scanned; under three of them the first row holds
+    only stage-1 values, so the rank leaves out the last rows without a
+    stage-2 value."""
+    rng = random.Random(2)
+    values = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+    for label in ("dim2-1", "dim2-2", "dim2-3", "dim2-4a", "dim2-4b"):
+        t = by_label[label].system
+        while True:
+            T = Matrix.from_rows([[rng.choice(values) for _ in range(2)] for _ in range(2)])
+            if Echelon(2, T.entries).rank == 2:
+                break
+        assert search_witness(t, transform(t, T), 20000) is not None, label
+    hits = [args for args, (_, digits) in driver_calls if digits is not None]
+    assert len(hits) == 5 and all(args[4] == 3 for args in hits)
+    old_prefix = [got for args, got in driver_calls if got[1] is not None and max(got[1][:2]) < args[4]]
+    assert len(old_prefix) == 3
+    # every last row was solved, none scanned
+    assert last_row_solves["systems"] and {} not in last_row_solves["systems"]
+    assert_budgets_around_hits(hits, rng)
+
+
+def test_last_row_solve_2dim_misses_across_stages(by_label, driver_calls, last_row_solves):
+    """An n = 2 miss whose last rows are solved, each to one point or none,
+    through stages 1 to 3 and into stage 4."""
+    assert search_witness(by_label["dim2-2"].system, by_label["dim2-3"].system, 50000) is None
+    assert [(args[4], got) for args, got in driver_calls] == [
+        (0, (48, None)),
+        (3, (2032, None)),
+        (7, (46304, None)),
+        (15, (1616, None)),
+    ]
+    assert last_row_solves["systems"] and all(len(p) == 2 for p in last_row_solves["systems"])
+
+
+def test_last_row_solve_on_lines(by_label, driver_calls, last_row_solves):
+    """Solution sets that are lines: a miss whose lines hold points of every
+    stage and no hit, and, from a seeded scan of basis changes of dim2-1,
+    a hit that is not the first point of its line."""
+    assert search_witness(by_label["dim2-3"].system, by_label["dim2-2"].system, 2500) is None
+    assert sum(p is not None and len(p) == 1 for p in last_row_solves["systems"]) == 6
+    assert all(last_row_solves["points"])
+    rng = random.Random(2)
+    values = (0, 1, -1, 2, -2, Fraction(1, 2))
+    t = by_label["dim2-1"].system
+    for _ in range(20):
+        T = Matrix.from_rows([[rng.choice(values) for _ in range(2)] for _ in range(2)])
+        if Echelon(2, T.entries).rank < 2:
+            continue
+        del driver_calls[:], last_row_solves["systems"][:], last_row_solves["points"][:]
+        search_witness(t, transform(t, T), 5000)
+        (_, digits), points = driver_calls[-1][1], last_row_solves["points"][-1]
+        assert digits is not None
+        if len(last_row_solves["systems"][-1]) == 1 and [d for d, _ in points].index(digits[2:]) > 0:
+            break
+    else:
+        pytest.fail("no hit after the first point of a line")
+    assert_budgets_around_hits([driver_calls[-1][0]], rng)
+
+
+def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
+    """Against the abelian target the linear equations of some prefixes
+    constrain nothing, and the last row is scanned: a hit at the first
+    invertible candidate for an abelian source, and misses that count
+    scanned candidates one at a time for dim2-4a and dim3-II."""
+    sources = (TripleSystem.abelian(2), TripleSystem.abelian(3), by_label["dim2-4a"].system, by_label["dim3-II"].system)
+    for source in sources:
+        n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(source, TripleSystem.abelian(source.dim))
+        # the whole of a 3-dim stage 2 is 7**9 tuples for the reference
+        stages = [([0, 1, -1], 0)] + [([0, 2, -2, 4, -4, 1, -1], 3)] * (n == 2)
+        for vals, new_start in stages:
+            tested, digits = ref.stage_search(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
+            for budget in {1, 2, tested - 1, tested, tested + 1} - {0}:
+                assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
+            assert (digits is None) == bool(a_entries)
+    assert {} in last_row_solves["systems"]
 
 
 def test_search_witness_zero_dimension_returns():
