@@ -4,7 +4,7 @@ The candidates of a stage are the n*n digit tuples over its values in
 row-major lexicographic order.  ``stage_search`` places T one row at a
 time, depth first, each row running through the ``len(vals)**n`` digit
 rows in lexicographic order, which visits the candidates in that order
-without walking every tuple.  It cuts three kinds of subtree:
+without walking every tuple.  It cuts four kinds of subtree:
 
 * a row that is dependent on the rows above it: every completion is
   singular, and singular candidates are never counted;
@@ -19,7 +19,19 @@ without walking every tuple.  It cuts three kinds of subtree:
   candidates are counted as in a cut; with one, the candidates before it
   are counted from the dot products of their suffixes.  When the linear
   equations constrain no coordinate (n = 1, abelian systems), the last
-  row is scanned.
+  row is scanned;
+* the mirror of a subtree already searched.  Let S = diag(s) be a sign
+  change that fixes b: s_i s_j s_k s_l = 1 at every nonzero b_ijk^l.
+  Replacing T by S·T multiplies both sides of equation (i, j, k) by
+  s_i s_j s_k, so T and S·T are witnesses, and fail each equation,
+  together.  When the first -1 of S is at row d < n - 1, S maps the
+  subtree under (rows[:d], r) one to one onto the subtree under
+  (rows[:d], -r), keeping invertibility and, since the values come in
+  (v, -v) pairs, which digits are new to the stage.  Of r and -r the one
+  whose first nonzero entry is positive comes first, so when the search
+  reaches -r the subtree under r has been searched without a hit, and
+  its count is added instead.  The rows d that qualify are the lowest
+  bits of the sign changes fixing b, computed once per call.
 
 All arithmetic is over Python ints (the driver pre-scales every rational
 input), which are exact at any size.
@@ -40,7 +52,8 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     b_flat     full integer tensor of the target system, index
                ((i*n + j)*n + k)*n + l, pre-scaled
     vals       candidate entry values for this stage, pre-scaled integers,
-               in canonical order
+               in canonical order; subtrees are mirrored only when each
+               -v is a value after v > 0, on the same side of new_start
     new_start  index of the first value new to this stage; tuples whose
                digits all fall below it were scanned in earlier stages
     budget     remaining number of invertible candidates allowed
@@ -61,6 +74,13 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     linear = [eq for eq in equations[last] if not eq[1] == eq[2] == last]
     pairs = _pairs(a_entries)
     digit_of = {v: d for d, v in enumerate(vals)}
+    # negating a row keeps it in the stage, and new to it or not, when
+    # every -v is a value on the same side of new_start, after v > 0
+    signed = all(
+        -v in digit_of and (d < new_start) == (digit_of[-v] < new_start) and (v <= 0 or d < digit_of[-v])
+        for d, v in enumerate(vals)
+    )
+    mirrored = _mirror_depths(n, equations) if signed else [False] * n
     rows = [None] * n  # value rows placed so far
     drows = [None] * n  # their digit rows
     # perp[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
@@ -213,10 +233,22 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         nonlocal tested
         if depth == last:
             return place_last(has_new)
+        # counts[row]: the candidates counted under each positive-leading
+        # row, kept at a depth where a sign change fixing b has its first -1
+        counts = {} if mirrored[depth] else None
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
+            if counts is not None and next((x for x in row if x), 0) < 0:
+                # the mirror of a subtree searched in full without a hit
+                count = counts.get(tuple(-x for x in row))
+                if count is not None:
+                    tested += count
+                    if tested >= budget:
+                        return budget, None
+                continue
             perp[depth + 1] = _orthogonal(perp[depth], row)
             if perp[depth + 1] is None:
                 continue
+            start = tested
             new = has_new or max(drow) >= new_start
             rows[depth] = row
             if holds(depth):
@@ -228,6 +260,8 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
                 tested += completions(depth + 1, new, budget - tested)
                 if tested >= budget:
                     return budget, None
+            if counts is not None:
+                counts[row] = tested - start
         return None
 
     return search(0, not new_start) or (tested, None)
@@ -258,6 +292,32 @@ def _equations_by_row(n, a_entries, b_flat):
                 brow = [(d, b_flat[base + d]) for d in range(n) if b_flat[base + d]]
                 by_row[max([j, k] + [d for d, _ in brow])].append((i, j, k, brow))
     return by_row
+
+
+def _mirror_depths(n, equations):
+    """For each depth d, whether some sign change diag(s) of the basis
+    fixes b and has its first -1 at row d.
+
+    Such a change fixes b exactly when s_i s_j s_k s_l = 1 at every
+    nonzero b_ijk^l, so the changes form the GF(2) kernel of the
+    equations x_i + x_j + x_k + x_l = 0, one bitmask each.  Eliminated
+    on their highest bits, the equations have a set P of pivot bits; in
+    the reduced form the kernel has, for each bit f outside P, the basis
+    vector f plus the pivots of the rows holding f, all above f.  So the
+    lowest bits of the kernel's vectors are the bits outside P.  Every
+    mask has an even number of bits, so bit 0 is never a pivot (-I fixes
+    every b)."""
+    basis = {}  # highest bit -> reduced mask
+    for i, j, k, brow in (eq for row in equations for eq in row):
+        for l, _ in brow:
+            mask = (1 << i) ^ (1 << j) ^ (1 << k) ^ (1 << l)
+            while mask:
+                h = mask.bit_length() - 1
+                if h not in basis:
+                    basis[h] = mask
+                    break
+                mask ^= basis[h]
+    return [d not in basis for d in range(n)]
 
 
 def _reduced_echelon(system, n):

@@ -12,15 +12,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import lietriple._witness_py as wpy
 import witness_reference as ref
-from lietriple.core import TripleSystem, integer_tensor, transform
+from lietriple.core import TripleSystem, direct_sum, integer_tensor, transform
 from lietriple.exactla import Echelon, Matrix
 from lietriple.witness import search_witness
-from util import sphere_system
+from util import random_invertible, sphere_system
 
 TIED_GROUPS = [
     ("dim2-2", "dim2-3"),
@@ -240,7 +241,12 @@ def test_last_row_solve_on_lines(by_label, driver_calls, last_row_solves):
     stage and no hit, and, from a seeded scan of basis changes of dim2-1,
     a hit that is not the first point of its line."""
     assert search_witness(by_label["dim2-3"].system, by_label["dim2-2"].system, 2500) is None
-    assert sum(p is not None and len(p) == 1 for p in last_row_solves["systems"]) == 6
+    # one line per stage, each holding all 3, 7 and 15 values of its stage;
+    # the prefixes that mirror these three are not solved again
+    assert sum(p is not None and len(p) == 1 for p in last_row_solves["systems"]) == 3
+    solved = [p for p in last_row_solves["systems"] if p]
+    lines = [q for p, q in zip(solved, last_row_solves["points"]) if len(p) == 1]
+    assert [len(q) for q in lines] == [3, 7, 15]
     assert all(last_row_solves["points"])
     rng = random.Random(2)
     values = (0, 1, -1, 2, -2, Fraction(1, 2))
@@ -276,6 +282,148 @@ def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
                 assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
             assert (digits is None) == bool(a_entries)
     assert {} in last_row_solves["systems"]
+
+
+def mirror_depths(n, a_entries, b_flat):
+    """The kernel's depths with a sign change fixing the target b."""
+    return wpy._mirror_depths(n, wpy._equations_by_row(n, a_entries, b_flat))
+
+
+def sign_change_depths(t):
+    """For each d, whether some sign change diag(s) with transform(t,
+    diag(s)) == t has its first -1 at d, by a scan of all of {1, -1}^n."""
+    n = t.dim
+    firsts = set()
+    for s in product((1, -1), repeat=n):
+        S = Matrix.from_rows([[s[r] if r == c else 0 for c in range(n)] for r in range(n)], n)
+        if -1 in s and transform(t, S).c == t.c:
+            firsts.add(s.index(-1))
+    return [d in firsts for d in range(n)]
+
+
+def negative_leading(row):
+    return next((x for x in row if x), 0) < 0
+
+
+def test_mirror_depths_match_a_scan_of_sign_changes(by_label):
+    """The kernel's mirrored depths equal a scan of every sign change on
+    the catalog, the spheres k <= 6, seeded basis changes (which keep
+    from none to all of the depths beyond 0) and sums with a line."""
+    rng = random.Random(14)
+    line = TripleSystem.abelian(1)
+    catalog = [e.system for e in by_label.values()]
+    spheres = [sphere_system(k) for k in range(1, 7)]
+    changed = [transform(t, random_invertible(rng, t.dim)) for t in catalog + spheres[:4]]
+    sums = [direct_sum(line, t) for t in catalog] + [direct_sum(t, line) for t in catalog]
+    for t in catalog + spheres + changed + sums:
+        got = mirror_depths(*kernel_args(t, t)[:3])
+        assert got == sign_change_depths(t), t.dim
+        assert got[0]  # -I fixes every b
+    got = {label: mirror_depths(*kernel_args(e.system, e.system)[:3]) for label, e in by_label.items()}
+    assert sum(all(m) for m in got.values()) == 15
+    assert [label for label, m in got.items() if not m[1]] == ["dim3-II", "dim3-VI"]
+    assert [label for label, m in got.items() if m[1:] == [True, False]] == [
+        "dim3-IV+", "dim3-IV-", "dim3-V+", "dim3-V-", "split-5", "split-6"
+    ]
+
+
+def test_mirror_budgets_inside_skipped_subtrees(by_label):
+    """split-1b against split-1c in stage 1 is a miss, and a sign change
+    fixing split-1c starts at every depth.  Under the first row (0, 0, 1)
+    each depth-1 row (0, 1, x) leaves the 18 last rows with a nonzero
+    first entry, so candidates 55-72 lie under (0, -1, 0), whose subtree
+    is counted from that of (0, 1, 0) instead of searched; and (0, 0, 1)
+    has 48 * 9 = 432 invertible completions, so candidates 433-864 lie
+    under (0, 0, -1), counted from the subtree of (0, 0, 1)."""
+    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    assert mirror_depths(n, a_entries, b_flat) == [True] * 3
+    rng = random.Random(55)
+    budgets = list(range(1, 73)) + [433, 434, 863, 864, 865, 10**6]
+    for budget in budgets + [rng.randint(435, 862) for _ in range(3)]:
+        assert_same(n, a_entries, b_flat, [0, 1, -1], 0, budget, m_lhs, m_rhs)
+
+
+def hit_under_unmirrored_negative_row(rng, sources, vals, first_rows, tuples):
+    """Kernel arguments for a seeded basis change T of a source, its rows
+    first_rows and then rows over vals: the first whose search over vals
+    hits within the first ``tuples`` digit tuples, with a negative-leading
+    row at a depth d < n - 1 where no sign change fixing the target
+    starts.  Its hit lies in a subtree that mirroring at d would skip."""
+    for _ in range(500):
+        a = rng.choice(sources)
+        n = a.dim
+        rows = first_rows + [[rng.choice(vals) for _ in range(n)] for _ in range(n - len(first_rows))]
+        T = Matrix.from_rows(rows, n)
+        if Echelon(n, T.entries).rank < n:
+            continue
+        n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+        args = (n, a_entries, b_flat, vals, 0, 10**6, m_lhs, m_rhs)
+        _, digits = wpy.stage_search(*args)
+        index = 0
+        for d in digits:
+            index = index * len(vals) + d
+        hit = [[vals[d] for d in digits[r * n : r * n + n]] for r in range(n)]
+        mirrored = mirror_depths(n, a_entries, b_flat)
+        if index < tuples and any(negative_leading(hit[d]) and not mirrored[d] for d in range(n - 1)):
+            return args
+    pytest.fail("no hit under a negative-leading row without a sign change")
+
+
+def test_mirror_hit_under_a_negative_row_without_symmetry(by_label):
+    """Hits whose row at a depth without a sign change fixing the target is
+    negative-leading, from seeded basis changes.  At n = 4 the values are
+    ordered 1, -1, 0: every invertible candidate over 0, 1, -1 follows the
+    3**12 tuples whose first row is zero, too many for the odometer, while
+    here the first row (1, 1, 1, 1) comes first."""
+    rng = random.Random(3)
+    sources = [e.system for e in by_label.values() if e.system.dim == 3]
+    args = hit_under_unmirrored_negative_row(rng, sources, [0, 1, -1], [], 3**9)
+    assert_budgets_around_hits([args], rng)
+    line = TripleSystem.abelian(1)
+    sources = [sphere_system(4)] + [direct_sum(t, line) for t in sources] + [direct_sum(line, t) for t in sources]
+    args = hit_under_unmirrored_negative_row(rng, sources, [1, -1, 0], [[1, 1, 1, 1], [1, 1, 1, -1]], 10**4)
+    tested, digits = assert_same(*args)
+    # the odometer gives (budget, None) below its hit
+    for budget in (tested - 1, rng.randint(1, tested - 2)):
+        assert wpy.stage_search(*args[:5], budget, *args[6:]) == (budget, None)
+
+
+def test_mirror_four_dim_target_with_inner_symmetries(by_label):
+    """A sign change fixing the line plus split-1b starts at every depth.
+    From dim3-II plus the line, over values ordered 1, -1, 0, the search
+    places (1, 1, 1, 1) and (1, 1, 1, -1), and the first depth-2 row it
+    mirrors, (-1, 1, 1, 1), holds candidates 1369-1422."""
+    line = TripleSystem.abelian(1)
+    a = direct_sum(by_label["dim3-II"].system, line)
+    b = direct_sum(line, by_label["split-1b"].system)
+    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, b)
+    assert mirror_depths(n, a_entries, b_flat) == [True] * 4
+    for budget in (1369, random.Random(4).randint(1370, 1421), 1422, 1423):
+        assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
+
+
+def test_mirror_needs_sign_paired_values(by_label):
+    """Negating a row maps the stage onto itself only when every -v is a
+    value on the same side of new_start as v, and after v > 0: with -1
+    before 1, or with 1 old and -1 new, no subtree is mirrored."""
+    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    for vals, new_start in (([0, -1, 1], 0), ([0, 1, -1], 2)):
+        assert_same(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
+
+
+def test_mirror_work_guard(by_label, monkeypatch):
+    """The split-1b/split-1c miss at the default budget tests independence
+    of 217 rows; searching the mirrored subtrees too, it tested 767."""
+    calls = []
+    orthogonal = wpy._orthogonal
+
+    def counted(*args):
+        calls.append(None)
+        return orthogonal(*args)
+
+    monkeypatch.setattr(wpy, "_orthogonal", counted)
+    assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
+    assert len(calls) <= 300
 
 
 def test_search_witness_zero_dimension_returns():
