@@ -9,7 +9,8 @@ carries grading sign -, h the rest with sign +.
 
 Everything is read off the structure tensor, with no matrix products.  The
 matrix of D_{e_i,e_j} has column k equal to c[i][j][k], and the h-coordinates
-of every D_{e_i,e_j} are computed once.  Each D_{p,q} is a derivation of the
+of every D_{e_i,e_j} come from its entries at the echelon pivots of h and one
+inverse of an h_dim x h_dim matrix.  Each D_{p,q} is a derivation of the
 triple product, so
 
     [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
@@ -29,11 +30,13 @@ from .exactla import (
     Matrix,
     Subspace,
     ZERO,
+    inverse,
     span,
     unit_vec,
     vec,
     vec_is_zero,
     vec_neg,
+    vec_nonzeros,
 )
 from .lie import Grading, LieAlgebra, lie_radical, require_grading
 
@@ -80,6 +83,16 @@ def inner_derivation(t: TripleSystem, x, y) -> Matrix:
     return Matrix.from_rows(cols, n).transpose()
 
 
+def _combination(terms, dim: int) -> list:
+    """The sum of x·w over the pairs (x, w), each w given by its nonzero pairs."""
+    acc = [ZERO] * dim
+    for x, w in terms:
+        if x:
+            for a, y in w:
+                acc[a] += x * y
+    return acc
+
+
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """Build G = M + h with a deterministic basis of h.
 
@@ -98,16 +111,20 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     chosen = [ij for ij in pairs if h.insert(flat[ij])]
     h_dim = len(chosen)
     pad = (ZERO,) * n
+    # h's echelon rows are the identity on h.pivots, so a flat D of the span is
+    # (D at the pivots)·Q⁻¹ over the chosen flats; Q[a][s] is flat a at pivot s
+    Q = Matrix(h_dim, h_dim, tuple(tuple(flat[ij][p] for p in h.pivots) for ij in chosen))
+    Qinv = [vec_nonzeros(r) for r in inverse(Q).entries]
 
     # K[i][j]: the nonzero h-coordinates (a, x) of D_{e_i,e_j}, antisymmetric
     K = [[()] * n for _ in range(n)]
     entries = {}
     for i, j in pairs:
-        coords = h.coords(flat[(i, j)])
-        K[i][j] = tuple((a, x) for a, x in enumerate(coords) if x)
+        acc = _combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv), h_dim)
+        K[i][j] = vec_nonzeros(acc)
         K[j][i] = tuple((a, -x) for a, x in K[i][j])
         if K[i][j]:
-            entries[(i, j)] = pad + coords
+            entries[(i, j)] = pad + tuple(acc)
     for a, (p, q) in enumerate(chosen):
         cpq = c[p][q]
         for i in range(n):
@@ -117,15 +134,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
         for b in range(a + 1, h_dim):
             u, v = chosen[b]
             # [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)}
-            acc = [ZERO] * h_dim
-            for l, x in enumerate(cpq[u]):
-                if x:
-                    for s, y in K[l][v]:
-                        acc[s] += x * y
-            for l, x in enumerate(cpq[v]):
-                if x:
-                    for s, y in K[u][l]:
-                        acc[s] += x * y
+            acc = _combination(zip(cpq[u] + cpq[v], [Kl[v] for Kl in K] + K[u]), h_dim)
             if any(acc):
                 entries[(n + a, n + b)] = pad + tuple(acc)
     algebra = LieAlgebra.from_entries(n + h_dim, entries)

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: dense matrices and canonical subspaces.
+"""Exact rational linear algebra: dense matrices, canonical subspaces and
+one elimination, ``Echelon``, whose reduced rows every other routine reads.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so nothing here ever rounds.  Every value
@@ -165,14 +166,13 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental reduced echelon basis of a subspace of rational n-space.
+    """Incremental reduced row echelon basis of a subspace of rational n-space.
 
     Every row has pivot entry 1 and a zero in every other row's pivot
     column, so the coefficient of row i in a vector of the span is simply
     the vector's entry at pivot i, and one pass over the rows reduces a
-    vector modulo the span.  Each row also keeps its coordinates with
-    respect to the inserted vectors that were independent (those for which
-    ``insert`` returned True, in insertion order); ``coords`` combines them.
+    vector modulo the span.  ``inverse`` and ``solve`` read their answers
+    off the reduced rows of an augmented matrix.
     """
 
     def __init__(self, ambient_dim: int, vectors=()):
@@ -180,7 +180,6 @@ class Echelon:
         self.pivots: list[int] = []
         self._rows: list[list[Fraction]] = []
         self._support: list[list[int]] = []  # nonzero columns of each row
-        self._coords: list[dict[int, Fraction]] = []
         for v in vectors:
             self.insert(v)
 
@@ -188,7 +187,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v):
+    def _reduce(self, v) -> list[Fraction]:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
@@ -198,59 +197,32 @@ class Echelon:
             if c:
                 for j in support:
                     residual[j] -= c * row[j]
-        return v, residual
-
-    def _combine(self, v) -> dict[int, Fraction]:
-        """Sum over the rows of v[pivot] times the row's coordinates."""
-        out: dict[int, Fraction] = {}
-        for p, w in zip(self.pivots, self._coords):
-            c = v[p]
-            if c:
-                for a, x in w.items():
-                    out[a] = out.get(a, ZERO) + c * x
-        return out
+        return residual
 
     def reduce(self, v) -> tuple[Fraction, ...]:
         """Residual of v modulo the span; zero exactly when v is in the span."""
-        return tuple(self._reduce(v)[1])
-
-    def coords(self, v) -> tuple[Fraction, ...] | None:
-        """Coordinates of v with respect to the independent inserted vectors,
-        or None when v lies outside the span."""
-        v, residual = self._reduce(v)
-        if any(residual):
-            return None
-        w = self._combine(v)
-        return tuple(w.get(a, ZERO) for a in range(self.rank))
+        return tuple(self._reduce(v))
 
     def insert(self, v) -> bool:
         """Add v to the span; False (and no change) when v already lies in it."""
-        v, residual = self._reduce(v)
+        residual = self._reduce(v)
         support = [j for j, x in enumerate(residual) if x]
         if not support:
             return False
         p = support[0]
-        # residual = v - sum v[p_i]·row_i, and v is the next inserted vector
-        w = {a: -x for a, x in self._combine(v).items()}
-        w[self.rank] = ONE
         lead = residual[p]
         if lead != 1:
             for j in support:
                 residual[j] /= lead
-            w = {a: x / lead for a, x in w.items()}
         for i, row in enumerate(self._rows):
             f = row[p]
             if f:
                 for j in support:
                     row[j] -= f * residual[j]
                 self._support[i] = [j for j, x in enumerate(row) if x]
-                wi = self._coords[i]
-                for a, x in w.items():
-                    wi[a] = wi.get(a, ZERO) - f * x
         self.pivots.append(p)
         self._rows.append(residual)
         self._support.append(support)
-        self._coords.append(w)
         return True
 
     def subspace(self) -> Subspace:
@@ -325,29 +297,29 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
-    """One exact solution of m·x = b (free variables set to zero), or None."""
+    """One exact solution of m·x = b (free variables set to zero), or None
+    when the reduced [m | b] has a pivot in its last column; x is that
+    column at the pivot columns."""
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    # the columns kept by a left-to-right insert are the pivot columns
-    ech = Echelon(m.rows)
-    pivots = [j for j in range(m.cols) if ech.insert(m.col(j))]
-    coords = ech.coords(b)
-    if coords is None:
+    n = m.cols
+    ech = Echelon(n + 1, [r + (y,) for r, y in zip(m.entries, b)])
+    if n in ech.pivots:
         return None
-    x = [ZERO] * m.cols
-    for p, c in zip(pivots, coords):
-        x[p] = c
+    x = [ZERO] * n
+    for p, row in zip(ech.pivots, ech._rows):
+        x[p] = row[n]
     return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix when rank is deficient."""
+    """Exact inverse, the right half of the reduced [m | I] = [I | m⁻¹];
+    raises SingularMatrix when a pivot falls in the right half instead."""
     if m.rows != m.cols:
         raise SingularMatrix("matrix is not square")
     n = m.rows
-    ech = Echelon(n, m.entries)
-    if ech.rank < n:
+    ech = Echelon(2 * n, [r + unit_vec(n, i) for i, r in enumerate(m.entries)])
+    if any(p >= n for p in ech.pivots):
         raise SingularMatrix("matrix is singular")
-    # row k of the inverse holds the coefficients of e_k over the rows of m
-    return Matrix(n, n, tuple(ech.coords(unit_vec(n, k)) for k in range(n)))
+    return Matrix(n, n, tuple(row[n:] for row in ech.subspace().vectors()))

@@ -54,7 +54,10 @@ def _format_rational(q: Fraction) -> str:
 def _parse_rational(tok: str, line_no: int) -> Fraction:
     if not _RATIONAL_RE.match(tok):
         raise ParseError(line_no, f"malformed rational {tok!r}")
-    q = Fraction(tok)
+    try:
+        q = Fraction(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(line_no, f"rational of {len(tok)} characters exceeds the digit limit") from None
     if _format_rational(q) != tok:
         raise ParseError(line_no, f"rational {tok!r} not in lowest terms")
     return q

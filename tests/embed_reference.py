@@ -1,9 +1,11 @@
 """Reference standard embedding and radical decomposition.
 
 ``standard_embedding`` is the original one: it builds every basis
-derivation D_{e_i,e_j} as a dense matrix, reads the coordinates of each
-one off an echelon of the flattened matrices, and computes every h-h
-bracket as the commutator AB - BA of two basis matrices.  The tests
+derivation D_{e_i,e_j} as a dense matrix, chooses the basis of h with an
+echelon of the flattened matrices, solves for the h-coordinates of each
+derivation with ``exactla.solve`` (the chosen flats as columns), and
+computes every h-h bracket as the commutator AB - BA of two basis
+matrices.  The tests
 compare ``lietriple.embed.standard_embedding``, which reads all of this
 off the structure tensor, against it byte for byte.
 
@@ -21,6 +23,7 @@ from lietriple.exactla import (
     Echelon,
     Matrix,
     ZERO,
+    solve,
     span,
     subspace_intersect,
     unit_vec,
@@ -53,9 +56,10 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     h_dim = len(h_basis)
     m = n + h_dim
     pad = (ZERO,) * n
+    columns = Matrix.from_rows([_flat(D) for D in h_basis], n * n).transpose()
 
     def h_coords(D: Matrix):
-        coords = h.coords(_flat(D))
+        coords = solve(columns, _flat(D))
         if coords is None:
             raise AssertionError("derivation escaped the span of the chosen basis")
         return coords

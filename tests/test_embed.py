@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import embed_reference as ref
+from lietriple import embed
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms, quotient, transform
 from lietriple.embed import (
     StandardEmbedding,
@@ -370,12 +371,12 @@ def test_standard_embedding_forms_no_matrix_products(monkeypatch):
         raise AssertionError("matrix product formed")
 
     calls = []
-    coords = Echelon.coords
+    inverse = embed.inverse
     monkeypatch.setattr(Matrix, "__mul__", refuse)
     monkeypatch.setattr(Matrix, "sub", refuse)
-    monkeypatch.setattr(Echelon, "coords", lambda self, v: calls.append(1) or coords(self, v))
+    monkeypatch.setattr(embed, "inverse", lambda m: calls.append(m.rows) or inverse(m))
     for k in (2, 3, 5):
         calls.clear()
         assert standard_embedding(sphere_system(k)).h_dim == k * (k - 1) // 2
-        # one coordinate read per basis derivation D_{e_i,e_j}, i < j
-        assert len(calls) == k * (k - 1) // 2
+        # one inverse of the h_dim x h_dim matrix Q per embedding
+        assert calls == [k * (k - 1) // 2]

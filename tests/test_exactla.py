@@ -235,7 +235,7 @@ def test_echelon_agrees_with_span_and_solve():
         for _ in range(3):
             coefs = [random_rational(rng) for _ in kept]
             v = basis.matvec(coefs)
-            assert ech.coords(v) == tuple(coefs) == solve(basis, v)
+            assert solve(basis, v) == tuple(coefs)
             assert not any(ech.reduce(v))
 
 
@@ -246,18 +246,39 @@ def test_echelon_insert_of_dependent_vector_is_rejected():
     assert not ech.insert((2, 5, 1))
     assert not ech.insert((0, 0, 0))
     assert ech.rank == 2
-    assert ech.coords((2, 5, 1)) == (2, 1)
+    assert solve(Matrix.from_rows([(1, 2, 0), (0, 1, 1)]).transpose(), (2, 5, 1)) == (2, 1)
 
 
-def test_echelon_coords_off_the_span_and_of_zero():
+def test_solve_off_the_span_and_of_zero():
     ech = Echelon(3, [(1, 2, 0), (0, 1, 1)])
-    assert ech.coords((0, 0, 1)) is None
+    basis = Matrix.from_rows([(1, 2, 0), (0, 1, 1)]).transpose()
+    assert solve(basis, (0, 0, 1)) is None
     assert any(ech.reduce((0, 0, 1)))
-    assert ech.coords((0, 0, 0)) == (0, 0)
-    assert Echelon(2).coords((0, 0)) == ()
-    assert Echelon(2).coords((1, 0)) is None
+    assert solve(basis, (0, 0, 0)) == (0, 0)
+    no_columns = Matrix.zeros(2, 0)
+    assert solve(no_columns, (0, 0)) == ()
+    assert solve(no_columns, (1, 0)) is None
     with pytest.raises(ValueError):
         ech.insert((1, 0))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        solve(basis, (1, 0))
+
+
+def test_inverse_of_the_empty_matrix_and_with_a_zero_leading_entry():
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    assert inverse(swap) == swap
+    m = Matrix.from_rows([[0, 2, 1], [1, 0, 0], [0, 1, 1]])
+    assert m * inverse(m) == Matrix.identity(3)
+    with pytest.raises(SingularMatrix, match="^matrix is singular$"):
+        inverse(Matrix.from_rows([[0, 1], [0, 2]]))
+
+
+def test_solve_of_zero_on_a_rank_deficient_matrix():
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+    assert solve(m, (0, 0, 0)) == (0, 0, 0)
+    assert solve(Matrix.zeros(2, 3), (0, 0)) == (0, 0, 0)
+    assert solve(Matrix.zeros(2, 3), (0, 1)) is None
 
 
 def test_matrix_product_matches_dense_definition():

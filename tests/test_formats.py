@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -125,3 +127,32 @@ def test_lts_serialization_of_empty_system():
     t = TripleSystem.abelian(1)
     assert serialize_lts(t) == "LTS 1\n"
     assert parse_lts("LTS 1\n").dim == 1
+
+
+# more digits than int() converts under the interpreter's default limit of 4300
+HUGE_RATIONALS = (
+    ("check", "x.lts", "LTS 2\n1 2 1 2 " + "1" * 5000 + "\n"),
+    ("lie-check", "x.lie", "LIE 2\n1 2 1 " + "1" * 4400 + "/7\n"),
+)
+
+
+def test_huge_rationals_are_parse_errors():
+    for command, _, text in HUGE_RATIONALS:
+        parse = parse_lts if command == "check" else parse_lie
+        with pytest.raises(ParseError, match=r"^line 2: rational of \d+ characters exceeds the digit limit$") as exc:
+            parse(text)
+        assert len(str(exc.value)) < 100
+
+
+def test_huge_rationals_exit_1_without_traceback(tmp_path):
+    for command, name, text in HUGE_RATIONALS:
+        path = tmp_path / name
+        path.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "lietriple", command, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("parse error line 2:")
+        assert "Traceback" not in result.stderr
