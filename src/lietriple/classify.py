@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .core import TripleSystem, derived_series, lts_center, transform
 from .embed import decompose, standard_embedding
 from .exactla import Matrix, full_subspace
-from .lie import (
-    KillingSignature,
-    killing_signature,
-    lie_center,
-    lie_derived_series,
-    lower_central_series,
-)
+from .lie import KillingSignature, killing_signature, lie_derived_series, lower_central_series
 from .witness import search_witness
 
 DEFAULT_ISO_BUDGET = 10**6
@@ -69,10 +63,13 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
     g = emb.algebra
     series = derived_series(t, full_subspace(t.dim))
     dec = decompose(emb)
+    # h acts faithfully on M, so no nonzero element of h is central, and the
+    # centre of G is graded: Z(G) = Z(M)
+    center_dim = lts_center(t).dim
     return Fingerprint(
         dim_m=t.dim,
         m_derived_dims=series.dims,
-        m_center_dim=lts_center(t).dim,
+        m_center_dim=center_dim,
         lts_radical_dim=dec.m_prime.dim,
         h_dim=emb.h_dim,
         g_dim=g.dim,
@@ -80,7 +77,7 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
         g_lcs_dims=tuple(s.dim for s in lower_central_series(g)),
         g_killing=killing_signature(g),
         g_radical_dim=dec.r.dim,
-        g_center_dim=lie_center(g).dim,
+        g_center_dim=center_dim,
         # is_canonical would rank the rows [e_p, e_i] of the h basis: they are the
         # D_{e_p,e_q} that standard_embedding kept for raising the rank, so the
         # rank is always h_dim

@@ -24,9 +24,10 @@ from .exactla import (
     ONE,
     Subspace,
     ZERO,
+    capped_span,
     inverse,
     kernel,
-    unit_vec,
+    subspace_series,
     vec,
     vec_is_zero,
     vec_neg,
@@ -171,17 +172,15 @@ def integer_tensor(t: TripleSystem):
 def check_axioms(t: TripleSystem) -> AxiomVerdict:
     """Verify the defining identities exactly over all basis instances.
 
-    Checks the cyclic identity over all n^3 basis triples and the
-    derivation identity over all n^5 basis 5-tuples.  Returns the
-    lexicographically first violating instance if any.  (x,x,y) = 0 needs
-    no scan: the TripleSystem constructor rejects any tensor breaking it.
-
-    Instances with first index not below the second are scanned implicitly:
-    the stored antisymmetry makes the (j,i,...) instance the negative of the
-    (i,j,...) one and the (i,i,...) instance zero, so restricting the
-    explicit loop to i < j checks the same set and still reports the
-    lexicographically first violation.  Both identities are homogeneous in
-    the tensor, so the scan runs on the sparse integer tensor.
+    Returns the lexicographically first violating instance if any.  The
+    constructor enforces (x,x,y) = 0 and the antisymmetry in the first two
+    slots, so each identity is scanned once per antisymmetry class, at the
+    class's lexicographically first instance: the cyclic sum of (i,j,k) is
+    alternating (a rotation keeps it, a swap of the first two slots negates
+    it), so only i < j < k; the derivation residual of D_{e_i,e_j} on
+    (u,v,w) is antisymmetric in (i,j) and in (u,v), so only i < j and
+    u < v.  Both identities are homogeneous in the tensor, so the scan runs
+    on the sparse integer tensor.
     """
     n = t.dim
     d, S = integer_tensor(t)
@@ -189,7 +188,7 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     rng = range(n)
     for i in rng:
         for j in range(i + 1, n):
-            for k in rng:
+            for k in range(j + 1, n):
                 r = [0] * n
                 for key in ((i, j, k), (j, k, i), (k, i, j)):
                     for l, x in get(key, ()):
@@ -205,7 +204,7 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
             if not any(D):
                 continue
             for u in rng:
-                for v in rng:
+                for v in range(u + 1, n):
                     for w in rng:
                         r = [0] * n
                         for k, x in get((u, v, w), ()):
@@ -227,31 +226,25 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     return AxiomVerdict(True)
 
 
-def is_ideal(t: TripleSystem, d: Subspace) -> bool:
-    """(D, M, M) contained in D; the other slots follow from the identities."""
+def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
+    """Every (x, y, z) with x, y and z given by their nonzero pairs in xs, ys
+    and zs lies in d."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     ech = Echelon(t.dim, d.vectors())
-    units = [unit_vec(t.dim, j) for j in range(t.dim)]
-    for v in d.vectors():
-        for y in units:
-            for z in units:
-                if any(ech.reduce(triple_product(t, v, y, z))):
-                    return False
-    return True
+    return not any(any(ech.reduce(_triple(t, x, y, z))) for x in xs for y in ys for z in zs)
+
+
+def is_ideal(t: TripleSystem, d: Subspace) -> bool:
+    """(D, M, M) contained in D; the other slots follow from the identities."""
+    units = [((j, ONE),) for j in range(t.dim)]
+    return _products_in(t, d, [vec_nonzeros(v) for v in d.vectors()], units, units)
 
 
 def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
     """(D, D, D) contained in D."""
-    if d.ambient_dim != t.dim:
-        raise ValueError("ambient dimension mismatch")
-    ech = Echelon(t.dim, d.vectors())
-    for x in d.vectors():
-        for y in d.vectors():
-            for z in d.vectors():
-                if any(ech.reduce(triple_product(t, x, y, z))):
-                    return False
-    return True
+    vs = [vec_nonzeros(v) for v in d.vectors()]
+    return _products_in(t, d, vs, vs, vs)
 
 
 def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
@@ -259,15 +252,9 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     if om.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     vs = [vec_nonzeros(v) for v in om.vectors()]
-    ech = Echelon(t.dim)
-    for i in range(t.dim):
-        for a in vs:
-            for b in vs:
-                ech.insert(_triple(t, ((i, ONE),), a, b))
-                # (M, om, om) lies in M: at full rank the rest adds nothing
-                if ech.rank == t.dim:
-                    return ech.subspace()
-    return ech.subspace()
+    products = (_triple(t, ((i, ONE),), a, b) for i in range(t.dim) for a in vs for b in vs)
+    # (M, om, om) lies in M
+    return capped_span(products, t.dim, t.dim)
 
 
 @dataclass(frozen=True)
@@ -293,15 +280,9 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
     # proper subspace needs the proof
     if om.dim != t.dim and not is_ideal(t, om):
         raise NotAnIdeal("derived series requires an ideal")
-    terms = [om]
-    while not terms[-1].is_zero():
-        nxt = derived_subspace(t, terms[-1])
-        terms.append(nxt)
-        # dimensions strictly decrease until stabilization, so this terminates
-        if nxt == terms[-2]:
-            break
-    solvable = terms[-1].is_zero()
-    return DerivedSeries(tuple(terms), solvable, len(terms) - 1)
+    # dimensions strictly decrease until stabilization, so this terminates
+    terms = subspace_series(om, lambda s: derived_subspace(t, s))
+    return DerivedSeries(terms, terms[-1].is_zero(), len(terms) - 1)
 
 
 def lts_center(t: TripleSystem) -> Subspace:
@@ -342,19 +323,13 @@ def direct_sum(a: TripleSystem, b: TripleSystem) -> TripleSystem:
     """Block tensor with all cross products zero."""
     n = a.dim + b.dim
     entries = {}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            for k in range(a.dim):
-                v = a.c[i][j][k]
-                if not vec_is_zero(v):
-                    entries[(i, j, k)] = tuple(v) + zero_vec(b.dim)
-    o = a.dim
-    for i in range(b.dim):
-        for j in range(i + 1, b.dim):
-            for k in range(b.dim):
-                v = b.c[i][j][k]
-                if not vec_is_zero(v):
-                    entries[(o + i, o + j, o + k)] = zero_vec(a.dim) + tuple(v)
+    for s, o in ((a, 0), (b, a.dim)):
+        for i in range(s.dim):
+            for j in range(i + 1, s.dim):
+                for k in range(s.dim):
+                    v = s.c[i][j][k]
+                    if not vec_is_zero(v):
+                        entries[(o + i, o + j, o + k)] = zero_vec(o) + tuple(v) + zero_vec(n - o - s.dim)
     return TripleSystem.from_entries(n, entries)
 
 

@@ -237,6 +237,29 @@ def span(vectors, ambient_dim: int) -> Subspace:
     return Echelon(ambient_dim, vectors).subspace()
 
 
+def capped_span(vectors, ambient_dim: int, cap: int) -> Subspace:
+    """Span of vectors known to lie in a subspace of dimension ``cap``: the
+    reading stops once the span reaches ``cap``, as the rest adds nothing."""
+    ech = Echelon(ambient_dim)
+    for v in vectors:
+        ech.insert(v)
+        if ech.rank == cap:
+            break
+    return ech.subspace()
+
+
+def subspace_series(start: Subspace, step) -> tuple[Subspace, ...]:
+    """start, step(start), step(step(start)), ... up to the first zero or
+    repeated term."""
+    terms = [start]
+    while not terms[-1].is_zero():
+        nxt = step(terms[-1])
+        terms.append(nxt)
+        if nxt == terms[-2]:
+            break
+    return tuple(terms)
+
+
 def zero_subspace(n: int) -> Subspace:
     return Subspace(n, Matrix.zeros(0, n))
 

@@ -13,7 +13,10 @@ Lie-algebra files::
     i j k q          # [e_i, e_j] has coordinate q on e_k, i < j
 
 Only the canonical half i < j is stored; the antisymmetric completion is
-implicit.  Rationals are written "p" or "p/q" in lowest terms with q > 0.
+implicit.  Indices are ASCII digits, leading zeros allowed; any other index
+token ('+1', '-1', '1_0', a non-ASCII digit) is "indices must be integers",
+and one too long to convert gets the range error of its value.
+Rationals are written "p" or "p/q" in lowest terms with q > 0.
 Output is ASCII with LF line endings, entries sorted lexicographically, so
 serialisation is canonical: parse(serialize(x)) == x and
 serialize(parse(s)) == s for canonical s.
@@ -71,6 +74,22 @@ def _content_lines(text: str):
         yield line_no, line
 
 
+def _naturals(toks: list, limit: int) -> tuple | None:
+    """The values of tokens of ASCII digits, leading zeros allowed, or None
+    when some token is not one.  A value too long to convert reads as
+    limit + 1, which lies above ``limit`` as the value does."""
+    joined = "".join(toks)
+    if not (joined.isascii() and joined.isdigit()):
+        return None
+    width = len(str(limit))
+    if len(joined) > width * len(toks):
+        # a long token: compare lengths first, as int() refuses more than a
+        # few thousand digits
+        toks = [t.lstrip("0") or "0" for t in toks]
+        return tuple([limit + 1 if len(t) > width else int(t) for t in toks])
+    return tuple(map(int, toks))
+
+
 def _header(it, word: str, letter: str, limit: int) -> int:
     """The dimension declared by the leading '<word> <letter>' line."""
     try:
@@ -78,55 +97,67 @@ def _header(it, word: str, letter: str, limit: int) -> int:
     except StopIteration:
         raise ParseError(1, f"missing {word} header") from None
     parts = header.split()
-    if len(parts) != 2 or parts[0] != word or not (parts[1].isascii() and parts[1].isdigit()):
+    values = _naturals(parts[1:], limit) if len(parts) == 2 and parts[0] == word else None
+    if values is None:
         raise ParseError(line_no, f"expected header '{word} {letter}'")
-    digits = parts[1].lstrip("0") or "0"
-    # compare lengths first: int() refuses more than a few thousand digits
-    if len(digits) > len(str(limit)) or int(digits) > limit:
+    (dim,) = values
+    if dim > limit:
         raise ParseError(line_no, f"{word} dimension above the limit of {limit}")
-    return int(digits)
+    return dim
+
+
+def _read_entries(lines, dim: int, form: str, letter: str, slots: str) -> dict:
+    """The sparse map {0-based key indices: coordinate vector} of the entry
+    lines.  Each line holds the tokens ``form`` names: the key indices i, j,
+    ..., the coordinate index, then the rational.  ``slots`` names the
+    indices after i and j in their range error."""
+    width = len(form.split())
+    entries: dict = {}
+    seen = set()
+    for line_no, line in lines:
+        toks = line.split()
+        if len(toks) != width:
+            raise ParseError(line_no, f"expected '{form}'")
+        idx = _naturals(toks[:-1], dim)
+        if idx is None:
+            raise ParseError(line_no, "indices must be integers")
+        if not 1 <= idx[0] < idx[1] <= dim:
+            raise ParseError(line_no, f"i<j required with 1 <= i < j <= {letter}")
+        # the slots after i and j: k and l, or k alone
+        if not (1 <= idx[2] <= dim and 1 <= idx[-1] <= dim):
+            raise ParseError(line_no, f"{slots} must lie in 1..{letter}")
+        if idx in seen:
+            raise ParseError(line_no, f"duplicate entry ({','.join(map(str, idx))})")
+        seen.add(idx)
+        q = _parse_rational(toks[-1], line_no)
+        if q == 0:
+            raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
+        entries.setdefault(idx[:-1], [ZERO] * dim)[idx[-1] - 1] = q
+    return {tuple([x - 1 for x in key]): tuple(v) for key, v in entries.items()}
+
+
+def _write_entries(lines: list, products) -> str:
+    """The lines, then 'i j ... l q' for each nonzero coordinate q on e_l of
+    each (key, nonzero pairs) in ``products``, with 1-based indices."""
+    for key, pairs in products:
+        prefix = " ".join(str(x + 1) for x in key)
+        for l, q in pairs:
+            lines.append(f"{prefix} {l + 1} {_format_rational(q)}")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_lts(t: TripleSystem) -> str:
-    lines = [f"LTS {t.dim}"]
-    for i in range(t.dim):
-        for j in range(i + 1, t.dim):
-            for k in range(t.dim):
-                v = t.c[i][j][k]
-                for l in range(t.dim):
-                    if v[l]:
-                        lines.append(f"{i + 1} {j + 1} {k + 1} {l + 1} {_format_rational(v[l])}")
-    return "\n".join(lines) + "\n"
+    n = t.dim
+    nz = t._nz
+    return _write_entries(
+        [f"LTS {n}"], (((i, j, k), nz[i][j][k]) for i in range(n) for j in range(i + 1, n) for k in range(n))
+    )
 
 
 def parse_lts(text: str) -> TripleSystem:
     it = _content_lines(text)
     n = _header(it, "LTS", "n", MAX_LTS_DIM)
-    entries: dict = {}
-    seen = set()
-    for line_no, line in it:
-        toks = line.split()
-        if len(toks) != 5:
-            raise ParseError(line_no, "expected 'i j k l q'")
-        try:
-            i, j, k, l = (int(x) for x in toks[:4])
-        except ValueError:
-            raise ParseError(line_no, "indices must be integers") from None
-        if not (1 <= i and i < j and j <= n):
-            raise ParseError(line_no, "i<j required with 1 <= i < j <= n")
-        if not (1 <= k <= n and 1 <= l <= n):
-            raise ParseError(line_no, "k and l must lie in 1..n")
-        if (i, j, k, l) in seen:
-            raise ParseError(line_no, f"duplicate entry ({i},{j},{k},{l})")
-        seen.add((i, j, k, l))
-        q = _parse_rational(toks[4], line_no)
-        if q == 0:
-            raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
-        key = (i - 1, j - 1, k - 1)
-        vec = list(entries.get(key, [ZERO] * n))
-        vec[l - 1] = q
-        entries[key] = vec
-    return TripleSystem.from_entries(n, {k: tuple(v) for k, v in entries.items()})
+    return TripleSystem.from_entries(n, _read_entries(it, n, "i j k l q", "n", "k and l"))
 
 
 def serialize_lie(g: LieAlgebra, grading: Grading | None = None) -> str:
@@ -135,50 +166,19 @@ def serialize_lie(g: LieAlgebra, grading: Grading | None = None) -> str:
         if len(grading.signs) != g.dim:
             raise ValueError("grading length does not match algebra dimension")
         lines.append("GRADE " + " ".join("+" if s == 1 else "-" for s in grading.signs))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            v = g.f[i][j]
-            for k in range(g.dim):
-                if v[k]:
-                    lines.append(f"{i + 1} {j + 1} {k + 1} {_format_rational(v[k])}")
-    return "\n".join(lines) + "\n"
+    m = g.dim
+    return _write_entries(lines, (((i, j), g._nz[i][j]) for i in range(m) for j in range(i + 1, m)))
 
 
 def parse_lie(text: str) -> tuple[LieAlgebra, Grading | None]:
     it = _content_lines(text)
     m = _header(it, "LIE", "m", MAX_LIE_DIM)
+    lines = list(it)
     grading = None
-    entries: dict = {}
-    seen = set()
-    first = True
-    for line_no, line in it:
-        toks = line.split()
-        if first and toks[0] == "GRADE":
-            first = False
-            signs = toks[1:]
-            if len(signs) != m or any(s not in ("+", "-") for s in signs):
-                raise ParseError(line_no, f"GRADE line must list {m} signs '+' or '-'")
-            grading = Grading(tuple(1 if s == "+" else -1 for s in signs))
-            continue
-        first = False
-        if len(toks) != 4:
-            raise ParseError(line_no, "expected 'i j k q'")
-        try:
-            i, j, k = (int(x) for x in toks[:3])
-        except ValueError:
-            raise ParseError(line_no, "indices must be integers") from None
-        if not (1 <= i and i < j and j <= m):
-            raise ParseError(line_no, "i<j required with 1 <= i < j <= m")
-        if not 1 <= k <= m:
-            raise ParseError(line_no, "k must lie in 1..m")
-        if (i, j, k) in seen:
-            raise ParseError(line_no, f"duplicate entry ({i},{j},{k})")
-        seen.add((i, j, k))
-        q = _parse_rational(toks[3], line_no)
-        if q == 0:
-            raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
-        key = (i - 1, j - 1)
-        vec = list(entries.get(key, [ZERO] * m))
-        vec[k - 1] = q
-        entries[key] = vec
-    return LieAlgebra.from_entries(m, {k: tuple(v) for k, v in entries.items()}), grading
+    if lines and lines[0][1].split()[0] == "GRADE":
+        line_no, line = lines.pop(0)
+        signs = line.split()[1:]
+        if len(signs) != m or any(s not in ("+", "-") for s in signs):
+            raise ParseError(line_no, f"GRADE line must list {m} signs '+' or '-'")
+        grading = Grading(tuple(1 if s == "+" else -1 for s in signs))
+    return LieAlgebra.from_entries(m, _read_entries(lines, m, "i j k q", "m", "k")), grading

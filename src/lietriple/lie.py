@@ -17,13 +17,14 @@ from math import lcm
 
 from .core import TripleSystem
 from .exactla import (
-    Echelon,
     Matrix,
     ONE,
     Subspace,
     ZERO,
+    capped_span,
     full_subspace,
     kernel,
+    subspace_series,
     vec,
     vec_is_zero,
     vec_neg,
@@ -188,38 +189,29 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     return JacobiVerdict(True)
 
 
-def _series(g: LieAlgebra, lower_central: bool) -> tuple[Subspace, ...]:
-    m = g.dim
-    terms = [full_subspace(m)]
-    while not terms[-1].is_zero():
-        cur = terms[-1]
-        vs = [vec_nonzeros(v) for v in cur.vectors()]
-        if lower_central:
-            pairs = ((((i, ONE),), b) for i in range(m) for b in vs)
-        else:
-            # antisymmetry: pairs with a <= b contribute nothing new
-            pairs = ((vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
-        ech = Echelon(m)
-        for x, y in pairs:
-            ech.insert(_bracket(g, x, y))
-            # [S, S] and [G, S] lie in S: at full rank the next term is S
-            if ech.rank == cur.dim:
-                break
-        nxt = ech.subspace()
-        terms.append(nxt)
-        if nxt == cur:
-            break
-    return tuple(terms)
-
-
 def lie_derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     """Iterated [S, S] to stabilization, starting at the full algebra."""
-    return _series(g, lower_central=False)
+
+    def step(s: Subspace) -> Subspace:
+        vs = [vec_nonzeros(v) for v in s.vectors()]
+        # antisymmetry: pairs with a <= b contribute nothing new
+        products = (_bracket(g, vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
+        # [S, S] lies in S
+        return capped_span(products, g.dim, s.dim)
+
+    return subspace_series(full_subspace(g.dim), step)
 
 
 def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     """Iterated [G, S] to stabilization, starting at the full algebra."""
-    return _series(g, lower_central=True)
+
+    def step(s: Subspace) -> Subspace:
+        vs = [vec_nonzeros(v) for v in s.vectors()]
+        products = (_bracket(g, ((i, ONE),), b) for i in range(g.dim) for b in vs)
+        # [G, S] lies in S
+        return capped_span(products, g.dim, s.dim)
+
+    return subspace_series(full_subspace(g.dim), step)
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
@@ -290,13 +282,7 @@ def killing_signature(g: LieAlgebra) -> KillingSignature:
 def lie_radical(g: LieAlgebra) -> Subspace:
     """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0)."""
     m = g.dim
-    ech = Echelon(m)
-    for v in (g.f[i][j] for i in range(m) for j in range(i + 1, m) if g._nz[i][j]):
-        ech.insert(v)
-        # [g, g] lies in g: at full rank the rest adds nothing
-        if ech.rank == m:
-            break
-    derived = ech.subspace()
+    derived = capped_span((g.f[i][j] for i in range(m) for j in range(i + 1, m) if g._nz[i][j]), m, m)
     if derived.is_zero():
         return full_subspace(m)
     # the rows K·d, summed over the nonzero entries of d and of K

@@ -7,13 +7,17 @@ structure vectors, ``_series`` brackets full basis vectors (unit vectors
 for the lower central series), ``lie_radical`` forms K·d with the dense
 ``Matrix.vecmat``, and ``lie_center`` and ``lts_center`` hand every row,
 zero or not, to the kernel; ``check_grading`` reads every coordinate of
-every bracket.  The tests compare the library's routines
-against these, result for result.
+every bracket.  ``check_axioms`` scans all n^3 cyclic and all n^5
+derivation instances, not one instance per antisymmetry class.  The tests
+compare the library's routines against these, result for result.
 """
 
 from __future__ import annotations
 
-from lietriple.core import TripleSystem
+import itertools
+from fractions import Fraction
+
+from lietriple.core import AxiomVerdict, TripleSystem, integer_tensor
 from lietriple.exactla import (
     Echelon,
     Matrix,
@@ -185,3 +189,40 @@ def lts_center(t: TripleSystem) -> Subspace:
     if not rows:
         return full_subspace(n)
     return kernel(Matrix.from_rows(rows))
+
+
+def check_axioms(t: TripleSystem) -> AxiomVerdict:
+    """The first violation over all basis instances, each identity scanned in
+    lexicographic order on the sparse integer tensor."""
+    n = t.dim
+    d, S = integer_tensor(t)
+    get = S.get
+    rng = range(n)
+    for i, j, k in itertools.product(rng, repeat=3):
+        r = [0] * n
+        for key in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in get(key, ()):
+                r[l] += x
+        if any(r):
+            return AxiomVerdict(False, "cyclic", (i + 1, j + 1, k + 1), tuple(Fraction(x, d) for x in r))
+    for i, j in itertools.product(rng, repeat=2):
+        # D = D_{e_i,e_j}; residual D(u,v,w) - (Du,v,w) - (u,Dv,w) - (u,v,Dw)
+        D = [get((i, j, u), ()) for u in rng]
+        for u, v, w in itertools.product(rng, repeat=3):
+            r = [0] * n
+            for k, x in get((u, v, w), ()):
+                for l, y in D[k]:
+                    r[l] += x * y
+            for k, x in D[u]:
+                for l, y in get((k, v, w), ()):
+                    r[l] -= x * y
+            for k, x in D[v]:
+                for l, y in get((u, k, w), ()):
+                    r[l] -= x * y
+            for k, x in D[w]:
+                for l, y in get((u, v, k), ()):
+                    r[l] -= x * y
+            if any(r):
+                residual = tuple(Fraction(x, d * d) for x in r)
+                return AxiomVerdict(False, "derivation", (i + 1, j + 1, u + 1, v + 1, w + 1), residual)
+    return AxiomVerdict(True)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -28,6 +29,7 @@ from lietriple.exactla import (
     unit_vec,
     zero_subspace,
 )
+import invariants_reference as ref
 from util import random_invertible, random_rational, sphere_system
 
 E1, E2 = (1, 0), (0, 1)
@@ -190,6 +192,61 @@ def test_check_axioms_matches_reference_scan(entries):
         assert verdict.ok == (expected[0] is None)
         kinds.add(verdict.kind)
     assert kinds == {None, "cyclic", "derivation"}
+
+
+def cyclic_blind_perturbed(t, rng):
+    """t with one seeded rational added where the cyclic identity cannot see
+    it: to a coordinate of a product (e_i, e_j, e_i) or (e_i, e_j, e_j), or,
+    given k > j, to one of (e_i, e_j, e_k) and subtracted from the same
+    coordinate of (e_j, e_k, e_i).  The derivation scan decides these."""
+    n = t.dim
+    entries = {
+        (i, j, k): list(t.c[i][j][k])
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if any(t.c[i][j][k])
+    }
+    i, j = sorted(rng.sample(range(n), 2))
+    l = rng.randrange(n)
+    q = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
+    if j + 1 < n and rng.random() < 0.5:
+        k = rng.randrange(j + 1, n)
+        changes = (((i, j, k), q), ((j, k, i), -q))
+    else:
+        changes = (((i, j, rng.choice((i, j))), q),)
+    for key, x in changes:
+        entries.setdefault(key, [Fraction(0)] * n)[l] += x
+    return TripleSystem.from_entries(n, {key: tuple(v) for key, v in entries.items()})
+
+
+def test_check_axioms_scans_one_instance_per_class(entries):
+    """The scan over i < j < k and u < v reports what the scan over all n^3
+    and n^5 instances reports, on seeded perturbations of the catalog, of
+    4- to 6-dim direct sums and of spheres."""
+    rng = random.Random(1616)
+    catalog_systems = [e.system for e in entries]
+    two = [t for t in catalog_systems if t.dim == 2]
+    three = [t for t in catalog_systems if t.dim == 3]
+    sums = [direct_sum(*rng.sample(two, 2)) for _ in range(2)]
+    sums += [direct_sum(rng.choice(two), rng.choice(three)) for _ in range(2)]
+    sums += [direct_sum(*rng.sample(three, 2)) for _ in range(2)]
+    bases = catalog_systems + sums + [sphere_system(k) for k in (4, 5, 6)]
+    systems = list(bases)
+    for t in bases:
+        for _ in range(8):
+            for change in (perturbed, cyclic_blind_perturbed):
+                s = change(t, rng)
+                if s.dim <= 3 and rng.random() < 0.5:
+                    s = transform(s, random_invertible(rng, s.dim))
+                systems.append(s)
+    kinds = collections.Counter()
+    for t in systems:
+        verdict = check_axioms(t)
+        assert verdict == ref.check_axioms(t)
+        kinds[verdict.kind] += 1
+    assert len(systems) - len(bases) >= 500
+    assert min(kinds[kind] for kind in (None, "cyclic", "derivation")) >= 50, kinds
 
 
 def test_is_ideal_trivial_cases(by_label):

@@ -157,6 +157,21 @@ def test_fingerprint_recomputes_nothing_the_construction_settles(monkeypatch, by
         assert fingerprint(t).canonical
 
 
+def test_fingerprint_reads_the_centre_of_g_off_m(monkeypatch, entries):
+    def refuse(*args):
+        raise AssertionError("centre of the Lie algebra computed")
+
+    for module in ("lietriple.classify", "lietriple.lie"):
+        module = importlib.import_module(module)
+        if hasattr(module, "lie_center"):
+            monkeypatch.setattr(module, "lie_center", refuse)
+    for e in entries:
+        fp = fingerprint(e.system)
+        assert fp == e.expected, e.label
+        assert fp.g_center_dim == fp.m_center_dim
+    assert fingerprint(sphere_system(4)).g_center_dim == 0
+
+
 def fixpoint_is_canonical(e):
     """Reference: the largest ideal inside the h-span by the shrinking fixpoint
     I_{k+1} = {x in I_k : [x, G] ⊆ I_k} starting from all of h."""

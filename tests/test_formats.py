@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -156,3 +157,62 @@ def test_huge_rationals_exit_1_without_traceback(tmp_path):
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith("parse error line 2:")
         assert "Traceback" not in result.stderr
+
+
+# an index with more digits than int() converts, in the coordinate slot
+HUGE_INDICES = (
+    ("check", "x.lts", "LTS 2\n1 2 1 " + "1" * 5000 + " 1\n", "k and l must lie in 1..n"),
+    ("lie-check", "x.lie", "LIE 2\n1 2 " + "1" * 5000 + " 1\n", "k must lie in 1..m"),
+)
+
+
+def test_huge_indices_get_their_range_error(tmp_path):
+    for command, name, text, message in HUGE_INDICES:
+        parse = parse_lts if command == "check" else parse_lie
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse(text)
+        path = tmp_path / name
+        path.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "lietriple", command, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"parse error line 2: {message}\n"
+
+
+def test_huge_indices_in_the_pair_slots_fail_the_pair_check():
+    huge = "9" * 5000
+    for text in (f"LTS 2\n{huge} 2 1 1 1\n", f"LTS 2\n1 {huge} 1 1 1\n"):
+        with pytest.raises(ParseError, match=r"^line 2: i<j required with 1 <= i < j <= n$"):
+            parse_lts(text)
+    with pytest.raises(ParseError, match=r"^line 2: i<j required with 1 <= i < j <= m$"):
+        parse_lie(f"LIE 2\n1 {huge} 1 1\n")
+
+
+def test_index_tokens_are_ascii_digits():
+    # int() reads each of these as an integer, the formats do not; \u0661 is
+    # the Arabic-Indic digit one
+    for tok in ("+1", "1_0", "\u0661", "-1"):
+        for slot in range(4):
+            toks = ["1", "2", "1", "2"]
+            toks[slot] = tok
+            with pytest.raises(ParseError, match=r"^line 2: indices must be integers$"):
+                parse_lts("LTS 2\n" + " ".join(toks) + " 1\n")
+            if slot < 3:
+                with pytest.raises(ParseError, match=r"^line 2: indices must be integers$"):
+                    parse_lie("LIE 2\n" + " ".join(toks[:3]) + " 1\n")
+
+
+def test_index_tokens_may_have_leading_zeros():
+    assert parse_lts("LTS 2\n01 002 1 02 1\n") == parse_lts("LTS 2\n1 2 1 2 1\n")
+    assert parse_lie("LIE 3\n01 02 003 1\n") == parse_lie("LIE 3\n1 2 3 1\n")
+    # more zeros than int() converts
+    zeros = "0" * 5000
+    assert parse_lts(f"LTS {zeros}2\n1 2 1 {zeros}2 1\n") == parse_lts("LTS 2\n1 2 1 2 1\n")
+    assert parse_lie(f"LIE {zeros}3\n1 {zeros}2 3 1\n") == parse_lie("LIE 3\n1 2 3 1\n")
+    with pytest.raises(ParseError, match=r"^line 3: duplicate entry \(1,2,1,2\)$"):
+        parse_lts("LTS 2\n1 2 1 2 1\n01 2 1 2 3\n")
+    with pytest.raises(ParseError, match=r"^line 3: duplicate entry \(1,2,3\)$"):
+        parse_lie("LIE 3\n1 2 3 1\n1 2 03 2\n")

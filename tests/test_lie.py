@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lietriple.core import lts_center, transform
 from lietriple.embed import standard_embedding
 from lietriple.exactla import Matrix, full_subspace, kernel, span, subspace_le, zero_subspace
 from lietriple.lie import (
@@ -263,6 +264,22 @@ def test_lie_radical_is_solvable_ideal(entries):
             )
             assert nxt.dim < cur.dim, e.label
             cur = nxt
+
+
+def test_lie_center_is_the_lts_center(entries):
+    """h acts faithfully on M and the centre of G is graded, so Z(G) = Z(M):
+    the fingerprint reads both centre dimensions off lts_center."""
+    rng = random.Random(1616)
+    systems = [e.system for e in entries]
+    systems += [transform(t, random_invertible(rng, t.dim)) for t in systems for _ in range(2)]
+    systems += [sphere_system(k) for k in range(2, 8)]
+    for t in systems:
+        n = t.dim
+        center = lie_center(standard_embedding(t).algebra)
+        assert center.dim == lts_center(t).dim
+        # zero on the h coordinates, and the M coordinates span Z(M)
+        assert all(not any(v[n:]) for v in center.vectors())
+        assert span([v[:n] for v in center.vectors()], n) == lts_center(t)
 
 
 def test_lie_center_cases(by_label):

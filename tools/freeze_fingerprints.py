@@ -1,5 +1,6 @@
 """Regenerate src/lietriple/catalog_data.py with literal expected fingerprints."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lietriple.catalog import _definitions  # noqa: E402
 from lietriple.classify import fingerprint  # noqa: E402
+from lietriple.lie import KillingSignature  # noqa: E402
 
 HEADER = '''"""Expected invariant fingerprints of the catalog entries, frozen.
 
@@ -29,22 +31,11 @@ def render() -> str:
     lines = [HEADER]
     for label, system, _ref, _notes in _definitions():
         fp = fingerprint(system)
-        ks = fp.g_killing
         lines.append(f'    "{label}": Fingerprint(\n')
-        lines.append(f"        dim_m={fp.dim_m},\n")
-        lines.append(f"        m_derived_dims={fp.m_derived_dims!r},\n")
-        lines.append(f"        m_center_dim={fp.m_center_dim},\n")
-        lines.append(f"        lts_radical_dim={fp.lts_radical_dim},\n")
-        lines.append(f"        h_dim={fp.h_dim},\n")
-        lines.append(f"        g_dim={fp.g_dim},\n")
-        lines.append(f"        g_derived_dims={fp.g_derived_dims!r},\n")
-        lines.append(f"        g_lcs_dims={fp.g_lcs_dims!r},\n")
-        lines.append(
-            f"        g_killing=KillingSignature({ks.positive}, {ks.negative}, {ks.zero}),\n"
-        )
-        lines.append(f"        g_radical_dim={fp.g_radical_dim},\n")
-        lines.append(f"        g_center_dim={fp.g_center_dim},\n")
-        lines.append(f"        canonical={fp.canonical},\n")
+        for field in dataclasses.fields(fp):
+            value = getattr(fp, field.name)
+            text = f"KillingSignature{value.as_tuple()}" if isinstance(value, KillingSignature) else repr(value)
+            lines.append(f"        {field.name}={text},\n")
         lines.append("    ),\n")
     lines.append("}\n")
     return "".join(lines)
