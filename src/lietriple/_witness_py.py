@@ -9,29 +9,31 @@ without walking every tuple.  It cuts four kinds of subtree:
 * a row that is dependent on the rows above it: every completion is
   singular, and singular candidates are never counted;
 * a prefix on which an equation of ``transform(a, T) == b`` already fails:
-  no completion is a hit, so the subtree's invertible candidates are
-  counted exactly, without being visited, and added to ``tested``;
-* the last row, which is solved for rather than scanned.  Every equation
-  that reads the last row v is linear in v, except those whose wedge and
-  third argument both read it.  The linear ones, reduced by fraction-free
-  elimination, leave an affine solution set, and only its points on the
-  value grid are checked in full.  Without a hit the row's invertible
-  candidates are counted as in a cut; with one, the candidates before it
-  are counted from the dot products of their suffixes.  When the linear
-  equations constrain no coordinate (n = 1, abelian systems), the last
-  row is scanned;
-* the mirror of a subtree already searched.  Let S = diag(s) be a sign
-  change that fixes b: s_i s_j s_k s_l = 1 at every nonzero b_ijk^l.
-  Replacing T by S·T multiplies both sides of equation (i, j, k) by
-  s_i s_j s_k, so T and S·T are witnesses, and fail each equation,
-  together.  When the first -1 of S is at row d < n - 1, S maps the
-  subtree under (rows[:d], r) one to one onto the subtree under
+  no completion is a hit, so the walk below it checks no equation and
+  adds the invertible last rows under each prefix of n - 1 rows to
+  ``tested``;
+* the last row, which is solved for.  Every equation that reads the last
+  row v is linear in v, except those whose wedge and third argument both
+  read it.  The linear ones, reduced by fraction-free elimination, leave
+  an affine solution set, and only its points on the value grid are
+  checked in full.  Without a hit the row's invertible candidates are
+  counted as in a cut; with one, the candidates before it are counted
+  from the dot products of their suffixes;
+* the mirror of a subtree already searched or counted.  Let S = diag(s)
+  be a sign change that fixes b: s_i s_j s_k s_l = 1 at every nonzero
+  b_ijk^l.  Replacing T by S·T multiplies both sides of equation
+  (i, j, k) by s_i s_j s_k, so T and S·T are witnesses, and fail each
+  equation, together.  When the first -1 of S is at row d < n - 1, S maps
+  the subtree under (rows[:d], r) one to one onto the subtree under
   (rows[:d], -r), keeping invertibility and, since the values come in
   (v, -v) pairs, which digits are new to the stage.  Of r and -r the one
   whose first nonzero entry is positive comes first, so when the search
   reaches -r the subtree under r has been searched without a hit, and
   its count is added instead.  The rows d that qualify are the lowest
-  bits of the sign changes fixing b, computed once per call.
+  bits of the sign changes fixing b, computed once per call.  Inside a
+  counted subtree every depth qualifies: its count depends only on
+  invertibility and stage-newness, which negating a row keeps, whether
+  or not a sign change fixes b.
 
 All arithmetic is over Python ints (the driver pre-scales every rational
 input), which are exact at any size.
@@ -127,8 +129,8 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
 
     def solutions():
         """The rows over vals that satisfy every linear equation on the
-        last row, as (digits, values) in digit order; None when those
-        equations constrain no coordinate."""
+        last row, as (digits, values) in digit order: every row, lazily,
+        when those equations constrain no coordinate."""
         # the residuals are affine in the last row: read them at 0 and at
         # each unit vector
         rows[last] = (0,) * n
@@ -142,7 +144,7 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         if pivots is None:
             return []
         if not pivots:
-            return None
+            return zip(product(range(nvals), repeat=n), product(vals, repeat=n))
         return _grid_points(pivots, n, vals, digit_of)
 
     def last_rows(has_new):
@@ -181,64 +183,38 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
             s += w[p] * vals[dp]
         return count
 
-    def place_last(has_new):
-        """Place the last row: (tested, digits) at the hit, (budget, None)
-        when the budget runs out, None when no last row is a hit."""
-        nonlocal tested
-        (w,) = perp[last]
-        points = solutions()
-        scan = points is None
-        if scan:
-            points = zip(product(range(nvals), repeat=n), product(vals, repeat=n))
-        for drow, row in points:
-            # a tuple without a new digit belongs to an earlier stage
-            if not (has_new or max(drow) >= new_start) or not sum(x * y for x, y in zip(w, row)):
-                continue
-            rows[last] = row
-            if holds(last):
-                before = 0 if scan else rows_before(drow, has_new)
-                if tested + before >= budget:
-                    return budget, None
-                tested += before + 1
-                drows[last] = drow
-                return tested, sum(drows, ())
-            if scan:
-                tested += 1
-                if tested >= budget:
-                    return budget, None
-        if not scan:
-            tested += last_rows(has_new)
-            if tested >= budget:
-                return budget, None
-        return None
-
-    def completions(depth, has_new, cap):
-        """Invertible completions of rows[:depth], with a digit new to the
-        stage unless ``has_new``; counting stops once it reaches ``cap``."""
-        if depth == last:
-            return last_rows(has_new)
-        total = 0
-        for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
-            perp[depth + 1] = _orthogonal(perp[depth], row)
-            if perp[depth + 1] is None:
-                continue
-            total += completions(depth + 1, has_new or max(drow) >= new_start, cap - total)
-            if total >= cap:
-                break
-        return total
-
-    def search(depth, has_new):
+    def search(depth, has_new, live):
         """Place rows depth.. in order: (tested, digits) at the hit,
-        (budget, None) when the budget runs out, None when exhausted."""
+        (budget, None) when the budget runs out, None when exhausted.
+        Under a prefix that fails an equation (``live`` false) nothing is
+        checked, and the invertible candidates are only counted.  A live
+        last row runs through the solutions in digit order: a hit is
+        ranked by the rows before it, and a miss counts the last rows as a
+        cut does."""
         nonlocal tested
         if depth == last:
-            return place_last(has_new)
+            (w,) = perp[last]
+            for drow, row in solutions() if live else ():
+                # a tuple without a new digit belongs to an earlier stage
+                if not (has_new or max(drow) >= new_start) or not sum(x * y for x, y in zip(w, row)):
+                    continue
+                rows[last] = row
+                if holds(last):
+                    before = rows_before(drow, has_new)
+                    if tested + before >= budget:
+                        return budget, None
+                    tested += before + 1
+                    drows[last] = drow
+                    return tested, sum(drows, ())
+            tested += last_rows(has_new)
+            return (budget, None) if tested >= budget else None
         # counts[row]: the candidates counted under each positive-leading
-        # row, kept at a depth where a sign change fixing b has its first -1
-        counts = {} if mirrored[depth] else None
+        # row, kept where a sign change fixing b has its first -1, or
+        # anywhere in a counted subtree
+        counts = {} if (mirrored[depth] if live else signed) else None
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
             if counts is not None and next((x for x in row if x), 0) < 0:
-                # the mirror of a subtree searched in full without a hit
+                # the mirror of a subtree searched or counted without a hit
                 count = counts.get(tuple(-x for x in row))
                 if count is not None:
                     tested += count
@@ -249,22 +225,16 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
             if perp[depth + 1] is None:
                 continue
             start = tested
-            new = has_new or max(drow) >= new_start
             rows[depth] = row
-            if holds(depth):
-                drows[depth] = drow
-                found = search(depth + 1, new)
-                if found:
-                    return found
-            else:
-                tested += completions(depth + 1, new, budget - tested)
-                if tested >= budget:
-                    return budget, None
+            drows[depth] = drow
+            found = search(depth + 1, has_new or max(drow) >= new_start, live and holds(depth))
+            if found:
+                return found
             if counts is not None:
                 counts[row] = tested - start
         return None
 
-    return search(0, not new_start) or (tested, None)
+    return search(0, not new_start, True) or (tested, None)
 
 
 def _pairs(a_entries):

@@ -127,13 +127,13 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
 
     The input's fingerprint is computed once and compared with the frozen
     catalog fingerprints.  An empty list means no catalog entry shares
-    it.  A tie is refined by the bounded search: when it finds a witness
-    to some tied entries, the labels are those entries and every tied
-    entry with a witness from one of them.  Between the catalog's tied
-    entries the search at the default budget finds every witness there
-    is, so a label dropped this way is not isomorphic to the input.  When
-    the search finds no witness, every tied label is kept.  The order
-    follows the catalog.
+    it.  A tie is refined by the search from the input, bounded by
+    ``budget``: when it finds a witness to some tied entries, the labels
+    are those entries and every tied entry with a witness from one of
+    them.  The witnesses between catalog entries are searched at the
+    default budget, which finds every one there is, so a label dropped
+    this way is not isomorphic to the input.  When the search finds no
+    witness, every tied label is kept.  The order follows the catalog.
     """
     from . import catalog
 
@@ -149,5 +149,6 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
     return [
         e.label
         for e in candidates
-        if e in hits or any(_witness(x.system, e.system, budget).verdict == "isomorphic" for x in hits)
+        if e in hits
+        or any(_witness(x.system, e.system, DEFAULT_CLASSIFY_BUDGET).verdict == "isomorphic" for x in hits)
     ]

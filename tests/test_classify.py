@@ -177,6 +177,23 @@ def test_tied_entries_are_decided_by_the_default_search(entries):
                 assert found == (frozenset((a.label, b.label)) in isomorphic_pairs), (a.label, b.label)
 
 
+@pytest.mark.parametrize(
+    "label, labels",
+    [
+        ("dim3-III+", ["dim3-III+", "dim3-IV+"]),
+        ("dim3-IV-", ["dim3-III-", "dim3-IV-"]),
+        ("split-5", ["split-5", "split-6"]),
+    ],
+)
+def test_classify_budget_bounds_only_the_input_search(by_label, label, labels):
+    """The budget bounds the searches from the input; a witness between two
+    tied catalog entries is searched at the default budget, so an entry
+    keeps its isomorphic label even where its own search stops short of
+    that label's first witness (about 3600 candidates in)."""
+    for budget in (0, 100, 3000):
+        assert classify(by_label[label].system, budget) == labels, budget
+
+
 def test_classify_keeps_a_false_tie_exact(by_label):
     """A hit on one label of a tie between non-isomorphic entries adds no
     other label: the search between the entries finds no witness."""

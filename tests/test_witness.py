@@ -269,8 +269,9 @@ def test_last_row_solve_on_lines(by_label, driver_calls, last_row_solves):
 def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
     """Against the abelian target the linear equations of some prefixes
     constrain nothing, and the last row is scanned: a hit at the first
-    invertible candidate for an abelian source, and misses that count
-    scanned candidates one at a time for dim2-4a and dim3-II."""
+    invertible candidate for an abelian source, and misses for dim2-4a
+    and dim3-II, where a miss with no pivot counts its last rows as a cut
+    does."""
     sources = (TripleSystem.abelian(2), TripleSystem.abelian(3), by_label["dim2-4a"].system, by_label["dim3-II"].system)
     for source in sources:
         n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(source, TripleSystem.abelian(source.dim))
@@ -402,6 +403,40 @@ def test_mirror_four_dim_target_with_inner_symmetries(by_label):
         assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
 
 
+def fails_at_last_row(n, a_entries, b_flat, m_lhs, m_rhs, rows):
+    """Whether an equation filed under the last of ``rows`` fails on them."""
+    for i, j, k, brow in wpy._equations_by_row(n, a_entries, b_flat)[len(rows) - 1]:
+        lhs = [0] * n
+        for a, b, c, l, val in a_entries:
+            lhs[l] += (rows[i][a] * rows[j][b] - rows[i][b] * rows[j][a]) * rows[k][c] * val
+        if any(lhs[l] * m_lhs != m_rhs * sum(bv * rows[d][l] for d, bv in brow) for l in range(n)):
+            return True
+    return False
+
+
+def test_mirror_inside_a_counted_subtree():
+    """Below a prefix that fails an equation, a negative-leading row is
+    counted from its negation at any depth, though no sign change fixing
+    the target starts there.  Against a change of the 4-sphere (its last
+    two rows drawn with seed 1) only -I fixes the target.  Over values
+    ordered 1, -1, 0, an equation filed under row 1 fails at (1, 1, 1, 1),
+    (1, 1, 1, -1); below it the depth-2 rows (-1, 1, 1, 1) and
+    (-1, 1, 1, -1) hold candidates 1369-1422 and 1423-1476, counted from
+    (1, -1, -1, -1) and (1, -1, -1, 1), and 34 more depth-2 rows are
+    counted from their mirrors before the hit, candidate 6682, under
+    (1, 1, 1, 1), (1, 1, 1, 0)."""
+    a = sphere_system(4)
+    T = Matrix.from_rows([[1, 1, 1, 1], [1, 1, 1, 0], [0, -1, 0, 1], [0, 1, 1, 1]])
+    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+    assert mirror_depths(n, a_entries, b_flat) == [True, False, False, False]
+    assert fails_at_last_row(n, a_entries, b_flat, m_lhs, m_rhs, [(1, 1, 1, 1), (1, 1, 1, -1)])
+    rng = random.Random(0)
+    budgets = [1368, 1369, rng.randint(1370, 1421), 1422, 1423, rng.randint(1424, 1475), 1476, 1477, 6681, 10**6]
+    for budget in budgets:
+        got = assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
+    assert got[0] == 6682 and got[1][4:8] == (0, 0, 0, 2)
+
+
 def test_mirror_needs_sign_paired_values(by_label):
     """Negating a row maps the stage onto itself only when every -v is a
     value on the same side of new_start as v, and after v > 0: with -1
@@ -424,6 +459,23 @@ def test_mirror_work_guard(by_label, monkeypatch):
     monkeypatch.setattr(wpy, "_orthogonal", counted)
     assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
     assert len(calls) <= 300
+
+
+def test_counted_subtree_work_guard(monkeypatch):
+    """A miss against a seeded {0, ±1} change of the 6-sphere at budget
+    10**6 counts nearly every candidate in cut subtrees; mirroring inside
+    them, it tests independence of 1247 rows, and 2429 without."""
+    calls = []
+    orthogonal = wpy._orthogonal
+
+    def counted(*args):
+        calls.append(None)
+        return orthogonal(*args)
+
+    monkeypatch.setattr(wpy, "_orthogonal", counted)
+    a = sphere_system(6)
+    assert search_witness(a, transform(a, random_invertible(random.Random(1), 6, -1, 1, (1,))), 10**6) is None
+    assert len(calls) <= 1500
 
 
 def test_search_witness_zero_dimension_returns():
