@@ -14,11 +14,11 @@ without walking every tuple.  It cuts four kinds of subtree:
   ``tested``;
 * the last row, which is solved for.  Every equation that reads the last
   row v is linear in v, except those whose wedge and third argument both
-  read it.  The linear ones, reduced by fraction-free elimination, leave
-  an affine solution set, and only its points on the value grid are
-  checked in full.  Without a hit the row's invertible candidates are
-  counted as in a cut; with one, the candidates before it are counted
-  from the dot products of their suffixes;
+  read it.  The linear ones, reduced by ``exactla.Echelon`` on integer
+  rows, leave an affine solution set, and only its points on the value
+  grid are checked in full.  Without a hit the row's invertible
+  candidates are counted as in a cut; with one, the candidates before it
+  are counted from the dot products of their suffixes;
 * the mirror of a subtree already searched or counted.  Let S = diag(s)
   be a sign change that fixes b: s_i s_j s_k s_l = 1 at every nonzero
   b_ijk^l.  Replacing T by S·T multiplies both sides of equation
@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd
+
+from .exactla import Echelon
 
 
 def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
@@ -291,29 +293,10 @@ def _mirror_depths(n, equations):
 
 
 def _reduced_echelon(system, n):
-    """Reduced echelon form of the integer rows [a_0 .. a_{n-1} | b] of
-    a·x = b by fraction-free elimination: {pivot column: primitive row},
-    each pivot column zero in every other row, or None when the system
-    has no solution."""
-    pivots = {}
-    for r in system:
-        for c, p in pivots.items():
-            if r[c]:
-                r = [p[c] * x - r[c] * y for x, y in zip(r, p)]
-        c = next((c for c in range(n) if r[c]), None)
-        if c is None:
-            if r[n]:
-                return None
-            continue
-        g = gcd(*r)
-        r = [x // g for x in r]
-        for pc, p in list(pivots.items()):
-            if p[c]:
-                q = [r[c] * x - p[c] * y for x, y in zip(p, r)]
-                g = gcd(*q)
-                pivots[pc] = [x // g for x in q]
-        pivots[c] = r
-    return pivots
+    """The ``Echelon`` rows of the integer system [a_0 .. a_{n-1} | b] of a·x = b
+    as {pivot column: primitive row}, or None when it has no solution."""
+    ech = Echelon(n + 1, system)
+    return None if n in ech.pivots else dict(zip(ech.pivots, ech.rows))
 
 
 def _grid_points(pivots, n, vals, digit_of):

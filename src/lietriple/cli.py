@@ -20,7 +20,7 @@ from .classify import (
     fingerprint,
     isomorphic,
 )
-from .core import InvalidLTS, check_axioms, derived_series
+from .core import InvalidLTS, check_axioms, derived_series, require_axioms
 from .embed import lts_radical, standard_embedding
 from .exactla import full_subspace
 from .formats import ParseError, parse_lie, parse_lts, serialize_lie, serialize_lts
@@ -81,6 +81,7 @@ def cmd_embed(args) -> int:
 
 def cmd_series(args) -> int:
     t = _load_lts(args.path)
+    require_axioms(t)
     series = derived_series(t, full_subspace(t.dim))
     print("dims: " + " ".join(str(d) for d in series.dims))
     print("solvable: " + ("yes" if series.solvable else "no"))

@@ -226,6 +226,13 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     return AxiomVerdict(True)
 
 
+def require_axioms(t: TripleSystem) -> None:
+    """Raise InvalidLTS naming the first violated identity."""
+    verdict = check_axioms(t)
+    if not verdict:
+        raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
+
+
 def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
     """Every (x, y, z) with x, y and z given by their nonzero pairs in xs, ys
     and zs lies in d."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvalidLTS, TripleSystem, check_axioms, triple_product
+from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
     Matrix,
@@ -99,9 +99,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     The basis of h is chosen greedily from the basis derivations D_{e_i,e_j}
     in lexicographic (i, j) order, keeping each one that enlarges the span.
     """
-    verdict = check_axioms(t)
-    if not verdict:
-        raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
+    require_axioms(t)
     n = t.dim
     c = t.c
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -111,7 +109,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     chosen = [ij for ij in pairs if h.insert(flat[ij])]
     h_dim = len(chosen)
     pad = (ZERO,) * n
-    # h's echelon rows are the identity on h.pivots, so a flat D of the span is
+    # h's echelon rows are diagonal on h.pivots, so a flat D of the span is
     # (D at the pivots)·Q⁻¹ over the chosen flats; Q[a][s] is flat a at pivot s
     Q = Matrix(h_dim, h_dim, tuple(tuple(flat[ij][p] for p in h.pivots) for ij in chosen))
     Qinv = [vec_nonzeros(r) for r in inverse(Q).entries]

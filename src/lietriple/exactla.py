@@ -2,21 +2,24 @@
 one elimination, ``Echelon``, whose reduced rows every other routine reads.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
-terms with positive denominator), so nothing here ever rounds.  Every value
-is immutable after construction and every operation is a pure function;
-results may be freely shared between threads.
+terms with positive denominator), so nothing here ever rounds; ``Echelon``
+eliminates fraction-free on primitive integer rows (cf. Bareiss, 1968).
+Every value is immutable after construction and every operation is a pure
+function; results may be freely shared between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _FRACTION = frozenset((Fraction,))
+_INT = frozenset((int,))
 
 
 class SingularMatrix(ValueError):
@@ -166,69 +169,76 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental reduced row echelon basis of a subspace of rational n-space.
+    """Incremental echelon basis of a subspace of rational n-space, kept as
+    primitive integer rows.
 
-    Every row has pivot entry 1 and a zero in every other row's pivot
-    column, so the coefficient of row i in a vector of the span is simply
-    the vector's entry at pivot i, and one pass over the rows reduces a
-    vector modulo the span.  ``inverse`` and ``solve`` read their answers
-    off the reduced rows of an augmented matrix.
+    Row i is the reduced row echelon row of pivot pivots[i] with its
+    denominators cleared: its first nonzero entry, at the pivot, is
+    positive, and every other row is zero in that column.  So one pass
+    over the rows reduces a vector modulo the span in integer arithmetic;
+    rationals are formed only when a residual or a basis is returned.
     """
 
     def __init__(self, ambient_dim: int, vectors=()):
         self.ambient_dim = ambient_dim
         self.pivots: list[int] = []
-        self._rows: list[list[Fraction]] = []
-        self._support: list[list[int]] = []  # nonzero columns of each row
+        self.rows: list[list[int]] = []
         for v in vectors:
             self.insert(v)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
-    def _reduce(self, v) -> list[Fraction]:
-        v = vec(v)
-        if len(v) != self.ambient_dim:
+    def _reduce(self, v) -> tuple[list[int], int]:
+        """(r, s): integers with s > 0 and v ≡ r / s modulo the span."""
+        r, s = list(v), 1
+        if len(r) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        residual = list(v)
-        for p, row, support in zip(self.pivots, self._rows, self._support):
-            c = v[p]  # other rows vanish at p, so the residual still holds v[p] here
+        if not _INT.issuperset(map(type, r)):
+            # scaled to integers once, reading the nonzero entries only
+            nz = [(j, rat(x).as_integer_ratio()) for j, x in enumerate(r) if x]
+            s = lcm(*[d for _, (_, d) in nz])
+            r = [0] * len(r)
+            for j, (x, d) in nz:
+                r[j] = x * (s // d)
+        for p, row in zip(self.pivots, self.rows):
+            c = r[p]  # other rows vanish at p, so r still holds s·v[p] here
             if c:
-                for j in support:
-                    residual[j] -= c * row[j]
-        return residual
+                a = row[p]
+                r = [a * x - c * y for x, y in zip(r, row)]
+                s *= a
+        return r, s
 
     def reduce(self, v) -> tuple[Fraction, ...]:
         """Residual of v modulo the span; zero exactly when v is in the span."""
-        return tuple(self._reduce(v))
+        r, s = self._reduce(v)
+        return tuple([Fraction(x, s) if x else ZERO for x in r])
 
     def insert(self, v) -> bool:
         """Add v to the span; False (and no change) when v already lies in it."""
-        residual = self._reduce(v)
-        support = [j for j, x in enumerate(residual) if x]
-        if not support:
+        r, _ = self._reduce(v)
+        if not any(r):
             return False
-        p = support[0]
-        lead = residual[p]
-        if lead != 1:
-            for j in support:
-                residual[j] /= lead
-        for i, row in enumerate(self._rows):
-            f = row[p]
-            if f:
-                for j in support:
-                    row[j] -= f * residual[j]
-                self._support[i] = [j for j, x in enumerate(row) if x]
+        lead = next(filter(None, r))  # the first nonzero entry, at the pivot
+        p = r.index(lead)
+        g = gcd(*r) if lead > 0 else -gcd(*r)
+        if g != 1:
+            r = [x // g for x in r]
+        for i, row in enumerate(self.rows):
+            if row[p]:
+                row = [r[p] * x - row[p] * y for x, y in zip(row, r)]
+                g = gcd(*row)
+                self.rows[i] = [x // g for x in row] if g != 1 else row
         self.pivots.append(p)
-        self._rows.append(residual)
-        self._support.append(support)
+        self.rows.append(r)
         return True
 
     def subspace(self) -> Subspace:
         """The span as a canonical (RREF) subspace."""
-        order = sorted(range(self.rank), key=self.pivots.__getitem__)
-        rows = tuple(tuple(self._rows[i]) for i in order)
+        rows = tuple(
+            tuple([Fraction(x, row[p]) if x else ZERO for x in row]) for p, row in sorted(zip(self.pivots, self.rows))
+        )
         return Subspace(self.ambient_dim, Matrix(len(rows), self.ambient_dim, rows))
 
 
@@ -286,7 +296,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     pad = (ZERO,) * n
     ech = Echelon(2 * n, [x + x for x in a.vectors()] + [y + pad for y in b.vectors()])
-    return span([row[n:] for p, row in zip(ech.pivots, ech._rows) if p >= n], n)
+    return span([row[n:] for p, row in zip(ech.pivots, ech.rows) if p >= n], n)
 
 
 def subspace_contains(a: Subspace, v) -> bool:
@@ -313,8 +323,8 @@ def kernel(m: Matrix) -> Subspace:
     for f in sorted(set(range(m.cols)) - set(ech.pivots)):
         v = [ZERO] * m.cols
         v[f] = ONE
-        for p, row in zip(ech.pivots, ech._rows):
-            v[p] = -row[f]
+        for p, row in zip(ech.pivots, ech.rows):
+            v[p] = Fraction(-row[f], row[p])
         basis_vecs.append(tuple(v))
     return span(basis_vecs, m.cols)
 
@@ -331,8 +341,8 @@ def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
     if n in ech.pivots:
         return None
     x = [ZERO] * n
-    for p, row in zip(ech.pivots, ech._rows):
-        x[p] = row[n]
+    for p, row in zip(ech.pivots, ech.rows):
+        x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 

@@ -118,6 +118,14 @@ def test_series_not_solvable_exit_2(capsys, tmp_path):
     assert out == "dims: 2 2\nsolvable: no\n"
 
 
+def test_series_rejects_an_invalid_system_exit_2(capsys, tmp_path):
+    # the classical seventh solvable type, which violates the derivation identity
+    path = tmp_path / "seventh.lts"
+    path.write_text("LTS 3\n1 3 2 1 1\n2 3 1 1 1\n")
+    code, out, err = run(capsys, "series", str(path))
+    assert (code, out, err) == (2, "", "error: derivation identity violated at (1, 3, 2, 3, 2)\n")
+
+
 def test_radical_output(capsys, tmp_path):
     code, out, _ = run(capsys, "radical", dump(tmp_path, "split-2"))
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -237,6 +238,73 @@ def test_echelon_agrees_with_span_and_solve():
             v = basis.matvec(coefs)
             assert solve(basis, v) == tuple(coefs)
             assert not any(ech.reduce(v))
+
+
+def _mixed_entry(rng, kinds):
+    """A zero, a bool, or a rational with numerator and denominator up to
+    10^6 given as an int, a Fraction or a str."""
+    kind = rng.choice(kinds)
+    num, den = rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)
+    return {"zero": 0, "bool": rng.random() < 0.5, "int": num, "frac": Fraction(num, den), "str": f"{num}/{den}"}[kind]
+
+
+def _reference_rref(vectors, n):
+    """The nonzero rows of the reduced row echelon form, by plain
+    Gauss-Jordan elimination over Fractions."""
+    pending = [[Fraction(x) for x in v] for v in vectors]
+    done = []
+    for c in range(n):
+        r = next((r for r in pending if r[c]), None)
+        if r is None:
+            continue
+        pending.remove(r)
+        r = [x / r[c] for x in r]
+        pending = [[x - s[c] * y for x, y in zip(s, r)] for s in pending]
+        done = [[x - s[c] * y for x, y in zip(s, r)] for s in done] + [r]
+    return done
+
+
+def test_echelon_reduce_gives_the_exact_residual():
+    """reduce(v) is v - sum of v[p]·row_p over the canonical RREF rows, with
+    p the pivot of row_p, on large rationals in every accepted form."""
+    rng = random.Random(47)
+    for case in range(200):
+        kinds = ("zero", "int") if case % 4 == 0 else ("zero", "bool", "int", "frac", "str")
+        n = rng.randint(1, 6)
+        vectors = [[_mixed_entry(rng, kinds) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        basis = _reference_rref(vectors, n)
+        ech = Echelon(n, vectors)
+        assert rows(ech.subspace().basis) == basis
+        for _ in range(3):
+            v = [_mixed_entry(rng, kinds) for _ in range(n)]
+            want = [Fraction(x) for x in v]
+            for row in basis:
+                c = Fraction(v[next(j for j, x in enumerate(row) if x)])
+                want = [x - c * y for x, y in zip(want, row)]
+            assert ech.reduce(v) == tuple(want)
+            if basis:
+                # a combination of the inserted vectors reduces to zero
+                inside = [sum(Fraction(w[j]) for w in vectors) for j in range(n)]
+                assert not any(ech.reduce(inside))
+
+
+def test_inverse_of_the_hilbert_matrix():
+    """Coefficient growth: the 8 x 8 Hilbert matrix 1/(i + j - 1) has the
+    closed-form integer inverse."""
+    n = 8
+    hilbert = Matrix.from_rows([[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    want = [
+        [
+            (-1) ** (i + j)
+            * (i + j - 1)
+            * comb(n + i - 1, n - j)
+            * comb(n + j - 1, n - i)
+            * comb(i + j - 2, i - 1) ** 2
+            for j in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+    assert rows(inverse(hilbert)) == want
 
 
 def test_echelon_insert_of_dependent_vector_is_rejected():
