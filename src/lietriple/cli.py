@@ -162,6 +162,7 @@ def cmd_lie_to_lts(args) -> int:
     if grading is None:
         raise _CliError("input file has no GRADE line")
     t = lie_to_lts(g, grading)
+    require_axioms(t)
     _write_out(serialize_lts(t), args.output)
     return 0
 

@@ -234,48 +234,41 @@ def _killing_form(g: LieAlgebra) -> Matrix:
 
 
 def killing_signature(g: LieAlgebra) -> KillingSignature:
-    """Exact signature by symmetric congruence reduction (no eigenvalues).
+    """Exact signature by Schur complements (no eigenvalues).
 
-    At each step: take a nonzero diagonal entry of the trailing block as
-    pivot (swapping it up if needed); when the whole trailing diagonal
-    vanishes, adding a row/column with a nonzero off-diagonal entry puts
-    2·A[p][q] on the diagonal (characteristic 0).
+    The inertia of a symmetric form is the sign of a nonzero pivot d plus
+    the inertia of d's Schur complement (Haynsworth).  The loop takes a
+    nonzero diagonal entry as d and replaces the rest of the form by its
+    complement.  When the remaining diagonal is all zero but A[p][q] is
+    not, adding row and column q to row and column p is a congruence that
+    puts 2·A[p][q] on the diagonal, which is nonzero in characteristic 0.
+    The loop stops when the rest of the form is zero.
     """
-    K = killing_form(g)
     m = g.dim
-    A = [list(r) for r in K.entries]
-
-    def swap(p, q):
-        A[p], A[q] = A[q], A[p]
-        for row in A:
-            row[p], row[q] = row[q], row[p]
-
-    def add_into(p, q):
-        for jj in range(m):
-            A[p][jj] += A[q][jj]
-        for ii in range(m):
-            A[ii][p] += A[ii][q]
-
-    for p in range(m):
-        if A[p][p] == 0:
-            pivot = next((q for q in range(p + 1, m) if A[q][q]), None)
-            if pivot is not None:
-                swap(p, pivot)
-            else:
-                off = next((q for q in range(p + 1, m) if A[p][q]), None)
-                if off is None:
-                    continue  # row p is zero in the trailing block
-                add_into(p, off)  # diagonal becomes 2·A[p][off] != 0
-        d = A[p][p]
-        for r in range(p + 1, m):
-            if A[r][p]:
-                f = A[r][p] / d
-                for jj in range(m):
-                    A[r][jj] -= f * A[p][jj]
-                for ii in range(m):
-                    A[ii][r] -= f * A[ii][p]
-    pos = sum(1 for p in range(m) if A[p][p] > 0)
-    neg = sum(1 for p in range(m) if A[p][p] < 0)
+    A = {i: list(r) for i, r in enumerate(killing_form(g).entries)}
+    pos = neg = 0
+    while A:
+        p = next((i for i in A if A[i][i]), None)
+        if p is None:
+            p, q = next(((i, j) for i in A for j in A if A[i][j]), (None, None))
+            if p is None:
+                break
+            rp, rq = A[p], A[q]
+            for j in A:
+                rp[j] += rq[j]
+            rp[p] = 2 * rq[p]  # A[p][p] + A[p][q] + A[q][p] + A[q][q], with A[p][p] = A[q][q] = 0
+        rp = A.pop(p)
+        d = rp[p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        # only row p is read from here on, so its column needs no update
+        nz = [(j, rp[j]) for j in A if rp[j]]
+        for i, x in nz:
+            f, ri = x / d, A[i]
+            for j, y in nz:
+                ri[j] -= f * y
     return KillingSignature(pos, neg, m - pos - neg)
 
 

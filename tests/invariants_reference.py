@@ -8,8 +8,10 @@ for the lower central series), ``lie_radical`` forms K·d with the dense
 ``Matrix.vecmat``, and ``lie_center`` and ``lts_center`` hand every row,
 zero or not, to the kernel; ``check_grading`` reads every coordinate of
 every bracket.  ``check_axioms`` scans all n^3 cyclic and all n^5
-derivation instances, not one instance per antisymmetry class.  The tests
-compare the library's routines against these, result for result.
+derivation instances, not one instance per antisymmetry class.
+``killing_signature`` is the congruence reduction that swaps each pivot
+into place and sweeps whole rows and columns of the form after it.  The
+tests compare the library's routines against these, result for result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from lietriple.exactla import (
     unit_vec,
     vec,
 )
-from lietriple.lie import Grading, GradingVerdict, LieAlgebra
+from lietriple.lie import Grading, GradingVerdict, KillingSignature, LieAlgebra, killing_form
 
 
 def bracket(g: LieAlgebra, x, y):
@@ -90,6 +92,52 @@ def _killing_form(g: LieAlgebra) -> Matrix:
             s = sum((x * fj[l][k] for k, l, x in nonzero[i] if fj[l][k]), ZERO)
             K[i][j] = K[j][i] = s
     return Matrix.from_rows(K, m)
+
+
+def killing_signature(g: LieAlgebra) -> KillingSignature:
+    """Exact signature by symmetric congruence reduction (no eigenvalues).
+
+    At each step: take a nonzero diagonal entry of the trailing block as
+    pivot (swapping it up if needed); when the whole trailing diagonal
+    vanishes, adding a row/column with a nonzero off-diagonal entry puts
+    2·A[p][q] on the diagonal (characteristic 0).
+    """
+    K = killing_form(g)
+    m = g.dim
+    A = [list(r) for r in K.entries]
+
+    def swap(p, q):
+        A[p], A[q] = A[q], A[p]
+        for row in A:
+            row[p], row[q] = row[q], row[p]
+
+    def add_into(p, q):
+        for jj in range(m):
+            A[p][jj] += A[q][jj]
+        for ii in range(m):
+            A[ii][p] += A[ii][q]
+
+    for p in range(m):
+        if A[p][p] == 0:
+            pivot = next((q for q in range(p + 1, m) if A[q][q]), None)
+            if pivot is not None:
+                swap(p, pivot)
+            else:
+                off = next((q for q in range(p + 1, m) if A[p][q]), None)
+                if off is None:
+                    continue  # row p is zero in the trailing block
+                add_into(p, off)  # diagonal becomes 2·A[p][off] != 0
+        d = A[p][p]
+        for r in range(p + 1, m):
+            if A[r][p]:
+                f = A[r][p] / d
+                for jj in range(m):
+                    A[r][jj] -= f * A[p][jj]
+                for ii in range(m):
+                    A[ii][r] -= f * A[ii][p]
+    pos = sum(1 for p in range(m) if A[p][p] > 0)
+    neg = sum(1 for p in range(m) if A[p][p] < 0)
+    return KillingSignature(pos, neg, m - pos - neg)
 
 
 def lie_radical(g: LieAlgebra) -> Subspace:

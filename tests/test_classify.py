@@ -204,6 +204,25 @@ def test_classify_keeps_a_false_tie_exact(by_label):
         assert classify(transform(t, T)) == [label], label
 
 
+@pytest.mark.parametrize(
+    "label, labels",
+    [
+        ("split-1b", ["split-1b", "split-1c"]),
+        ("dim3-III+", ["dim3-III+", "dim3-IV+"]),
+        ("split-5", ["split-5", "split-6"]),
+    ],
+)
+def test_classify_keeps_every_tied_label_when_the_search_finds_no_witness(by_label, label, labels):
+    """A change the bounded search does not undo: with no witness to any
+    tied entry, the miss proves nothing and every tied label is kept."""
+    rows = [[3, 1, 0], [0, Fraction(1, 3), 1], [1, 0, -3]]
+    t = transform(by_label[label].system, Matrix.from_rows(rows))
+    for other in labels:
+        assert isomorphic(t, by_label[other].system, DEFAULT_CLASSIFY_BUDGET).verdict == "unknown"
+    for budget in (0, DEFAULT_CLASSIFY_BUDGET):
+        assert classify(t, budget) == labels, budget
+
+
 def sl2_double_bracket_system():
     """(x, y, z) = [[x, y], z] on the sl(2) vector space: a simple
     3-dimensional triple system, outside the solvable/splitting catalog."""

@@ -292,6 +292,33 @@ def test_lie_to_lts_requires_grade(capsys, tmp_path):
     assert "no GRADE line" in err
 
 
+def test_lie_to_lts_rejects_a_restriction_that_is_no_triple_system_exit_2(capsys, tmp_path):
+    # a valid grading of a bracket table that fails the Jacobi identity
+    path = tmp_path / "g.lie"
+    path.write_text("LIE 4\nGRADE - - - +\n1 2 4 1\n1 4 1 1\n2 4 3 1\n3 4 1 1\n")
+    code, out, _ = run(capsys, "lie-check", str(path))
+    assert (code, out[:35]) == (2, "jacobi identity violated at (1,2,3)")
+    out_path = tmp_path / "out.lts"
+    for extra in ((), ("-o", str(out_path))):
+        code, out, err = run(capsys, "lie-to-lts", str(path), *extra)
+        assert (code, out, err) == (2, "", "error: cyclic identity violated at (1, 2, 3)\n")
+    assert not out_path.exists()
+
+
+def test_write_failures_exit_1(capsys, tmp_path):
+    lie_path = tmp_path / "g.lie"
+    lie_path.write_text("LIE 2\nGRADE - +\n")
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (
+        ("embed", dump(tmp_path, "dim3-II"), "-o", missing),
+        ("catalog", "--dump", "split-5", "-o", missing),
+        ("lie-to-lts", str(lie_path), "-o", missing),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"cannot write {missing}: ") and "Traceback" not in err, argv
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/path.lts")
     assert code == 1

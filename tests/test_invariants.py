@@ -1,6 +1,7 @@
 """The invariants read from the cached nonzero brackets and products agree
 with the dense reference scans of ``invariants_reference``."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from lietriple.core import (
     triple_product,
 )
 from lietriple.embed import standard_embedding
-from lietriple.exactla import Echelon, Matrix, full_subspace, span
+from lietriple.exactla import Echelon, Matrix, full_subspace, inverse, span
 from lietriple.lie import (
     Grading,
     LieAlgebra,
@@ -25,6 +26,7 @@ from lietriple.lie import (
     check_grading,
     check_jacobi,
     killing_form,
+    killing_signature,
     lie_center,
     lie_derived_series,
     lie_radical,
@@ -107,6 +109,65 @@ def test_lie_invariants_match_dense_reference(entries):
             gradings += not verdict
     # the random gradings reach the first-offender paths
     assert gradings >= 20
+
+
+def lie_transform(g, T):
+    """g in the basis given by the rows of T."""
+    Tinv, rows = inverse(T), T.entries
+    m = g.dim
+    return LieAlgebra.from_entries(
+        m, {(i, j): Tinv.vecmat(bracket(g, rows[i], rows[j])) for i in range(m) for j in range(i + 1, m)}
+    )
+
+
+def lie_direct_sum(g, h):
+    a, m = g.dim, g.dim + h.dim
+    entries = {(i, j): g.f[i][j] + (0,) * h.dim for i in range(a) for j in range(i + 1, a)}
+    entries.update(
+        {(a + i, a + j): (0,) * a + h.f[i][j] for i in range(h.dim) for j in range(i + 1, h.dim)}
+    )
+    return LieAlgebra.from_entries(m, entries)
+
+
+def isotropic_basis(g):
+    """g in a basis of Killing-isotropic vectors with coordinates in {-1, 0, 1},
+    so that the form has a zero diagonal; None if those vectors span too little."""
+    m = g.dim
+    K = [(i, j, x) for i, row in enumerate(killing_form(g).entries) for j, x in enumerate(row) if x]
+    ech, rows = Echelon(m), []
+    for v in itertools.product((0, 1, -1), repeat=m):
+        if not sum(x * v[i] * v[j] for i, j, x in K) and ech.insert(v):
+            rows.append(v)
+            if ech.rank == m:
+                return lie_transform(g, Matrix.from_rows(rows))
+    return None
+
+
+def test_killing_signature_matches_congruence_reference(entries, by_label):
+    rng = random.Random(19)
+    catalog = [e.system for e in entries]
+    spheres = [sphere_system(k) for k in range(2, 8)]
+    systems = catalog + spheres
+    systems += [transform(t, random_invertible(rng, t.dim)) for t in catalog for _ in range(5)]
+    systems += [transform(t, random_invertible(rng, t.dim)) for t in spheres]
+    # the zero-diagonal regression input of test_lie
+    systems.append(transform(by_label["dim2-3"].system, Matrix.from_rows([[-1, -1], [-1, 3]])))
+    algebras = [standard_embedding(t).algebra for t in systems]
+    small = [g for g in algebras if g.dim <= 6]
+    for _ in range(12):
+        g = lie_direct_sum(*rng.sample(small, 2))
+        algebras.append(lie_transform(g, random_invertible(rng, g.dim, lo=-2, hi=2, dens=(1,))))
+    plain = dict(zip(by_label, algebras))
+    plain["4a+4b"] = lie_direct_sum(plain["dim2-4a"], plain["dim2-4b"])
+    plain["4b+2"] = lie_direct_sum(plain["dim2-4b"], plain["dim2-2"])
+    # the diagonal is zero from the first pivot on
+    zero_diagonal = [h for h in map(isotropic_basis, plain.values()) if h and not killing_form(h).is_zero()]
+    assert len(zero_diagonal) >= 10
+    algebras += zero_diagonal
+    algebras += [LieAlgebra.abelian(m) for m in range(3)] + [hand_built_algebra()]
+    assert len(algebras) >= 150
+    for g in algebras:
+        assert killing_signature(g) == ref.killing_signature(g), g
 
 
 def test_hand_built_algebra_has_its_expected_invariants():
