@@ -215,9 +215,10 @@ def _definitions():
                 _m(((0, 0, 0), (0, 0, 1), (0, 0, 0))),
             ),
             "solvable dim-3 table, type VI",
-            "enveloping algebra tagged g_{4,13}, 5-dim solvable non-decomposable; the"
-            " classical bracket table printed for it violates the Jacobi identity and the"
-            " construction's own table is emitted instead",
+            "the classical tables tag its enveloping algebra g_{4,13}; that tag is"
+            " unverified and, being a 4-dim label, cannot name the 5-dim solvable envelope"
+            " (g_dim 5) the construction gives; the classical bracket table printed for it"
+            " violates the Jacobi identity and the construction's own table is emitted instead",
         ),
         (
             "split-1a",

@@ -6,9 +6,11 @@ enforces the structural part of the axioms (alternation in the first two
 slots, stored antisymmetrically); the cyclic and derivation identities are
 checked by :func:`check_axioms`.
 
-Each system keeps the nonzero coordinates of its products, computed once;
+Each system keeps the nonzero coordinates of its products, ``_nz``, and
 the triple product, the integer tensor, the derived series and the centre
-read only those.
+read only those.  ``from_entries`` and ``parse_lts`` hand their nonzero
+pairs over with the dense tensor they build from them; only a system
+constructed as ``TripleSystem(dim, c)`` reads them off ``c``, once.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .exactla import (
     kernel,
     subspace_series,
     vec,
+    vec_from_pairs,
     vec_is_zero,
-    vec_neg,
     vec_nonzeros,
     zero_vec,
 )
@@ -85,17 +87,34 @@ class TripleSystem:
 
         The antisymmetric completion c[j][i][k] = -c[i][j][k] is filled in.
         """
-        # absent products all share one zero tuple
-        c = [[[zero_vec(dim)] * dim for _ in range(dim)] for _ in range(dim)]
+        pairs = {}
         for (i, j, k), v in entries.items():
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad tensor index ({i},{j},{k})")
             v = vec(v)
             if len(v) != dim:
                 raise ValueError("coordinate vector length mismatch")
-            c[i][j][k] = v
-            c[j][i][k] = vec_neg(v)
-        return TripleSystem(dim, tuple(tuple(tuple(cij) for cij in ci) for ci in c))
+            pairs[(i, j, k)] = vec_nonzeros(v)
+        return TripleSystem._from_pairs(dim, pairs)
+
+    @staticmethod
+    def _from_pairs(dim: int, pairs: dict) -> TripleSystem:
+        """Build from {(i, j, k): the nonzero pairs (l, x) of (e_i, e_j, e_k),
+        l increasing} with 0-based i < j and k in range: the pairs, negated at
+        (j, i, k), become ``_nz`` and ``c`` is filled in from them."""
+        nz = [[[()] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k), p in pairs.items():
+            nz[i][j][k] = p
+            nz[j][i][k] = tuple([(l, -x) for l, x in p])
+        nz = tuple(tuple(map(tuple, ci)) for ci in nz)
+        # absent products all share one zero tuple
+        zero = zero_vec(dim)
+        c = tuple(tuple(tuple(vec_from_pairs(p, dim) if p else zero for p in cij) for cij in ci) for ci in nz)
+        t = object.__new__(TripleSystem)
+        # set as __init__ would, with _nz cached; __post_init__ then checks it
+        vars(t).update(dim=dim, c=c, _nz=nz)
+        t.__post_init__()
+        return t
 
     @staticmethod
     def abelian(dim: int) -> TripleSystem:

@@ -8,10 +8,11 @@ for X, Y in M and A, B in h.  M occupies the first n coordinates of G and
 carries grading sign -, h the rest with sign +.
 
 Everything is read off the structure tensor, with no matrix products.  The
-matrix of D_{e_i,e_j} has column k equal to c[i][j][k], and the h-coordinates
-of every D_{e_i,e_j} come from its entries at the echelon pivots of h and one
-inverse of an h_dim x h_dim matrix.  Each D_{p,q} is a derivation of the
-triple product, so
+matrix of D_{e_i,e_j} has column k equal to c[i][j][k].  A D_{e_i,e_j} kept
+in the basis of h is its own basis vector; the h-coordinates of any other
+come from its entries at the echelon pivots of h and one inverse of an
+h_dim x h_dim matrix, computed only when some D_{e_i,e_j} was not kept.
+Each D_{p,q} is a derivation of the triple product, so
 
     [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
 
@@ -28,14 +29,13 @@ from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
     Matrix,
+    ONE,
     Subspace,
     ZERO,
     inverse,
     span,
     unit_vec,
     vec,
-    vec_is_zero,
-    vec_neg,
     vec_nonzeros,
 )
 from .lie import Grading, LieAlgebra, lie_radical, require_grading
@@ -101,41 +101,48 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """
     require_axioms(t)
     n = t.dim
-    c = t.c
+    c, nz = t.c, t._nz
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # D_{e_i,e_j} flattened column by column: column k is c[i][j][k]
     flat = {(i, j): tuple(x for col in c[i][j] for x in col) for i, j in pairs}
     h = Echelon(n * n)
     chosen = [ij for ij in pairs if h.insert(flat[ij])]
     h_dim = len(chosen)
-    pad = (ZERO,) * n
-    # h's echelon rows are diagonal on h.pivots, so a flat D of the span is
-    # (D at the pivots)·Q⁻¹ over the chosen flats; Q[a][s] is flat a at pivot s
-    Q = Matrix(h_dim, h_dim, tuple(tuple(flat[ij][p] for p in h.pivots) for ij in chosen))
-    Qinv = [vec_nonzeros(r) for r in inverse(Q).entries]
+    index = {ij: a for a, ij in enumerate(chosen)}
+    if h_dim < len(pairs):
+        # h's echelon rows are diagonal on h.pivots, so a flat D of the span is
+        # (D at the pivots)·Q⁻¹ over the chosen flats; Q[a][s] is flat a at pivot s
+        Q = Matrix(h_dim, h_dim, tuple(tuple(flat[ij][p] for p in h.pivots) for ij in chosen))
+        Qinv = [vec_nonzeros(r) for r in inverse(Q).entries]
 
-    # K[i][j]: the nonzero h-coordinates (a, x) of D_{e_i,e_j}, antisymmetric
+    # K[i][j]: the nonzero h-coordinates (a, x) of D_{e_i,e_j}, antisymmetric;
+    # a chosen D is the unit vector of its index
     K = [[()] * n for _ in range(n)]
-    entries = {}
+    # brackets[(i, j)], i < j: the nonzero pairs (l, x) of [e_i, e_j] in G
+    brackets = {}
     for i, j in pairs:
-        acc = _combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv), h_dim)
-        K[i][j] = vec_nonzeros(acc)
-        K[j][i] = tuple((a, -x) for a, x in K[i][j])
+        a = index.get((i, j))
+        if a is None:
+            K[i][j] = vec_nonzeros(_combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv), h_dim))
+        else:
+            K[i][j] = ((a, ONE),)
+        K[j][i] = tuple([(d, -x) for d, x in K[i][j]])
         if K[i][j]:
-            entries[(i, j)] = pad + tuple(acc)
+            brackets[(i, j)] = tuple([(n + d, x) for d, x in K[i][j]])
     for a, (p, q) in enumerate(chosen):
-        cpq = c[p][q]
+        npq = nz[p][q]
         for i in range(n):
-            if not vec_is_zero(cpq[i]):
+            if npq[i]:
                 # stored as [e_i, e_{n+a}] = -[A, X] = -A·e_i
-                entries[(i, n + a)] = vec_neg(cpq[i]) + (ZERO,) * h_dim
+                brackets[(i, n + a)] = tuple([(l, -x) for l, x in npq[i]])
         for b in range(a + 1, h_dim):
             u, v = chosen[b]
             # [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)}
-            acc = _combination(zip(cpq[u] + cpq[v], [Kl[v] for Kl in K] + K[u]), h_dim)
-            if any(acc):
-                entries[(n + a, n + b)] = pad + tuple(acc)
-    algebra = LieAlgebra.from_entries(n + h_dim, entries)
+            terms = [(x, K[l][v]) for l, x in npq[u]] + [(x, K[u][l]) for l, x in npq[v]]
+            acc = vec_nonzeros(_combination(terms, h_dim))
+            if acc:
+                brackets[(n + a, n + b)] = tuple([(n + d, x) for d, x in acc])
+    algebra = LieAlgebra._from_pairs(n + h_dim, brackets)
     grading = Grading(tuple([-1] * n + [1] * h_dim))
     h_basis = tuple(Matrix.from_rows(c[p][q], n).transpose() for p, q in chosen)
     return StandardEmbedding(t, algebra, grading, h_basis, h_dim)

@@ -61,6 +61,14 @@ def vec_nonzeros(a) -> tuple:
     return tuple([(i, x) for i, x in enumerate(a) if x])
 
 
+def vec_from_pairs(pairs, n: int) -> tuple[Fraction, ...]:
+    """The vector of length n with the nonzero entries (index, entry) of pairs."""
+    v = [ZERO] * n
+    for i, x in pairs:
+        v[i] = x
+    return tuple(v)
+
+
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 

@@ -28,7 +28,6 @@ import re
 from fractions import Fraction
 
 from .core import TripleSystem
-from .exactla import ZERO
 from .lie import Grading, LieAlgebra
 
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
@@ -107,10 +106,11 @@ def _header(it, word: str, letter: str, limit: int) -> int:
 
 
 def _read_entries(lines, dim: int, form: str, letter: str, slots: str) -> dict:
-    """The sparse map {0-based key indices: coordinate vector} of the entry
-    lines.  Each line holds the tokens ``form`` names: the key indices i, j,
-    ..., the coordinate index, then the rational.  ``slots`` names the
-    indices after i and j in their range error."""
+    """The sparse map {0-based key indices: the pairs (0-based coordinate
+    index, rational) in increasing index} of the entry lines.  Each line
+    holds the tokens ``form`` names: the key indices i, j, ..., the
+    coordinate index, then the rational.  ``slots`` names the indices after
+    i and j in their range error."""
     width = len(form.split())
     entries: dict = {}
     seen = set()
@@ -132,8 +132,9 @@ def _read_entries(lines, dim: int, form: str, letter: str, slots: str) -> dict:
         q = _parse_rational(toks[-1], line_no)
         if q == 0:
             raise ParseError(line_no, "zero coordinates are implicit and must be omitted")
-        entries.setdefault(idx[:-1], [ZERO] * dim)[idx[-1] - 1] = q
-    return {tuple([x - 1 for x in key]): tuple(v) for key, v in entries.items()}
+        entries.setdefault(idx[:-1], []).append((idx[-1] - 1, q))
+    # a key's coordinate indices are distinct, so the sort compares no rationals
+    return {tuple([x - 1 for x in key]): tuple(sorted(pairs)) for key, pairs in entries.items()}
 
 
 def _write_entries(lines: list, products) -> str:
@@ -157,7 +158,7 @@ def serialize_lts(t: TripleSystem) -> str:
 def parse_lts(text: str) -> TripleSystem:
     it = _content_lines(text)
     n = _header(it, "LTS", "n", MAX_LTS_DIM)
-    return TripleSystem.from_entries(n, _read_entries(it, n, "i j k l q", "n", "k and l"))
+    return TripleSystem._from_pairs(n, _read_entries(it, n, "i j k l q", "n", "k and l"))
 
 
 def serialize_lie(g: LieAlgebra, grading: Grading | None = None) -> str:
@@ -181,4 +182,4 @@ def parse_lie(text: str) -> tuple[LieAlgebra, Grading | None]:
         if len(signs) != m or any(s not in ("+", "-") for s in signs):
             raise ParseError(line_no, f"GRADE line must list {m} signs '+' or '-'")
         grading = Grading(tuple(1 if s == "+" else -1 for s in signs))
-    return LieAlgebra.from_entries(m, _read_entries(lines, m, "i j k q", "m", "k")), grading
+    return LieAlgebra._from_pairs(m, _read_entries(lines, m, "i j k q", "m", "k")), grading

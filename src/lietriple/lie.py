@@ -3,9 +3,14 @@ side leans on: Jacobi checking, derived/lower-central series, the Killing
 form and its exact signature, radical, center, gradings and the passage
 from a graded algebra back to a triple system.
 
-Each algebra keeps the nonzero coordinates of its brackets, computed once;
+Each algebra keeps the nonzero coordinates of its brackets, ``_nz``, and
 the bracket, the series, the Killing form, the radical, the centre and the
-antisymmetry and grading checks read only those.
+antisymmetry and grading checks read only those.  ``from_entries``,
+``parse_lie`` and ``standard_embedding`` hand their nonzero pairs over
+with the dense table they build from them; only an algebra constructed as
+``LieAlgebra(dim, f)`` reads them off ``f``, once.  [G, G] is spanned once
+per algebra too: it is the second term of both series and the span whose
+Killing-orthogonal complement is the radical.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from .exactla import (
     kernel,
     subspace_series,
     vec,
+    vec_from_pairs,
     vec_is_zero,
-    vec_neg,
     vec_nonzeros,
     zero_vec,
 )
@@ -69,20 +74,42 @@ class LieAlgebra:
         # both lie_radical and killing_signature
         return _killing_form(self)
 
+    @cached_property
+    def _derived(self) -> Subspace:
+        # [G, G], spanned by the nonzero brackets [e_i, e_j] with i < j
+        m = self.dim
+        return capped_span((self.f[i][j] for i in range(m) for j in range(i + 1, m) if self._nz[i][j]), m, m)
+
     @staticmethod
     def from_entries(dim: int, entries: dict) -> LieAlgebra:
         """Build from a sparse map {(i, j): vector} with 0-based i < j."""
-        # absent brackets all share one zero tuple
-        f = [[zero_vec(dim)] * dim for _ in range(dim)]
+        pairs = {}
         for (i, j), v in entries.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket index ({i},{j})")
             v = vec(v)
             if len(v) != dim:
                 raise ValueError("coordinate vector length mismatch")
-            f[i][j] = v
-            f[j][i] = vec_neg(v)
-        return LieAlgebra(dim, tuple(tuple(fi) for fi in f))
+            pairs[(i, j)] = vec_nonzeros(v)
+        return LieAlgebra._from_pairs(dim, pairs)
+
+    @staticmethod
+    def _from_pairs(dim: int, pairs: dict) -> LieAlgebra:
+        """Build from {(i, j): the nonzero pairs (l, x) of [e_i, e_j], l
+        increasing} with 0-based i < j in range: the pairs, negated at
+        (j, i), become ``_nz`` and ``f`` is filled in from them."""
+        nz = [[()] * dim for _ in range(dim)]
+        for (i, j), p in pairs.items():
+            nz[i][j] = p
+            nz[j][i] = tuple([(l, -x) for l, x in p])
+        nz = tuple(map(tuple, nz))
+        zero = zero_vec(dim)
+        f = tuple(tuple(vec_from_pairs(p, dim) if p else zero for p in nzi) for nzi in nz)
+        g = object.__new__(LieAlgebra)
+        # set as __init__ would, with _nz cached; __post_init__ then checks it
+        vars(g).update(dim=dim, f=f, _nz=nz)
+        g.__post_init__()
+        return g
 
     @staticmethod
     def abelian(dim: int) -> LieAlgebra:
@@ -160,6 +187,13 @@ def _bracket(g: LieAlgebra, xs, ys):
     return tuple(out)
 
 
+def _integer_brackets(g: LieAlgebra):
+    """Least common denominator d of the brackets, and nz with nz[a][b] the
+    nonzero coordinates (l, d·x) of [e_a, e_b], in integers."""
+    d = lcm(*(x.denominator for fa in g._nz for v in fa for _, x in v))
+    return d, [[[(l, x.numerator * (d // x.denominator)) for l, x in v] for v in fa] for fa in g._nz]
+
+
 def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     """Jacobi identity over all basis triples; first violation in lex order.
 
@@ -168,9 +202,7 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
     of [e_q, e_c].  The residual is d^-2 times the integer sum."""
     m = g.dim
-    d = lcm(*(x.denominator for fa in g._nz for v in fa for _, x in v))
-    # nz[a][b]: the nonzero coordinates (l, d·x) of [e_a, e_b]
-    nz = [[[(l, int(x * d)) for l, x in v] for v in fa] for fa in g._nz]
+    d, nz = _integer_brackets(g)
     for i in range(m):
         for j in range(m):
             ij, nz_j = nz[i][j], nz[j]
@@ -190,9 +222,12 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
 
 
 def lie_derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    """Iterated [S, S] to stabilization, starting at the full algebra."""
+    """Iterated [S, S] to stabilization, starting at the full algebra; the
+    first step is the algebra's own [G, G]."""
 
     def step(s: Subspace) -> Subspace:
+        if s.dim == g.dim:
+            return g._derived
         vs = [vec_nonzeros(v) for v in s.vectors()]
         # antisymmetry: pairs with a <= b contribute nothing new
         products = (_bracket(g, vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
@@ -203,9 +238,12 @@ def lie_derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    """Iterated [G, S] to stabilization, starting at the full algebra."""
+    """Iterated [G, S] to stabilization, starting at the full algebra; the
+    first step is the algebra's own [G, G]."""
 
     def step(s: Subspace) -> Subspace:
+        if s.dim == g.dim:
+            return g._derived
         vs = [vec_nonzeros(v) for v in s.vectors()]
         products = (_bracket(g, ((i, ONE),), b) for i in range(g.dim) for b in vs)
         # [G, S] lies in S
@@ -220,17 +258,30 @@ def killing_form(g: LieAlgebra) -> Matrix:
 
 
 def _killing_form(g: LieAlgebra) -> Matrix:
-    """The Killing form summed over the nonzero brackets only."""
+    """K[i][j] = sum of c_ik^l·c_jl^k, over matched nonzero constants only.
+
+    The constants are scaled to integers by their least common denominator
+    d, as in check_jacobi, and each entry is d^-2 times the integer sum."""
     m = g.dim
-    # (k, l, x): [e_i, e_k] has the nonzero coordinate x on e_l
-    nonzero = [[(k, l, x) for k, v in enumerate(nzi) for l, x in v] for nzi in g._nz]
-    K = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            fj = g.f[j]
-            s = sum((x * fj[l][k] for k, l, x in nonzero[i] if fj[l][k]), ZERO)
-            K[i][j] = K[j][i] = s
-    return Matrix.from_rows(K, m)
+    d, nz = _integer_brackets(g)
+    # by_lk[(l, k)]: the pairs (j, d·c_jl^k) of the nonzero constants
+    by_lk = {}
+    for j, nzj in enumerate(nz):
+        for l, v in enumerate(nzj):
+            for k, y in v:
+                by_lk.setdefault((l, k), []).append((j, y))
+    K = [[0] * m for _ in range(m)]
+    for i, nzi in enumerate(nz):
+        row = K[i]
+        for k, v in enumerate(nzi):
+            for l, x in v:
+                for j, y in by_lk.get((l, k), ()):
+                    if j >= i:
+                        row[j] += x * y
+        # K is symmetric: rows below i read their entries left of the diagonal from here
+        for j in range(i + 1, m):
+            K[j][i] = row[j]
+    return Matrix.from_rows([[Fraction(x, d * d) if x else ZERO for x in r] for r in K], m)
 
 
 def killing_signature(g: LieAlgebra) -> KillingSignature:
@@ -275,7 +326,7 @@ def killing_signature(g: LieAlgebra) -> KillingSignature:
 def lie_radical(g: LieAlgebra) -> Subspace:
     """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0)."""
     m = g.dim
-    derived = capped_span((g.f[i][j] for i in range(m) for j in range(i + 1, m) if g._nz[i][j]), m, m)
+    derived = g._derived
     if derived.is_zero():
         return full_subspace(m)
     # the rows K·d, summed over the nonzero entries of d and of K

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import embed_reference as ref
-from lietriple import embed
+from lietriple import catalog, embed
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms, quotient, transform
 from lietriple.embed import (
     StandardEmbedding,
@@ -381,7 +381,7 @@ def test_standard_embedding_matches_matrix_commutator_reference(entries):
         assert got.algebra == want.algebra, name
 
 
-def test_standard_embedding_forms_no_matrix_products(monkeypatch):
+def test_standard_embedding_forms_no_matrix_products_and_inverts_q_only_for_rejected_pairs(monkeypatch):
     def refuse(*args):
         raise AssertionError("matrix product formed")
 
@@ -393,5 +393,10 @@ def test_standard_embedding_forms_no_matrix_products(monkeypatch):
     for k in (2, 3, 5):
         calls.clear()
         assert standard_embedding(sphere_system(k)).h_dim == k * (k - 1) // 2
-        # one inverse of the h_dim x h_dim matrix Q per embedding
-        assert calls == [k * (k - 1) // 2]
+        # every D_{e_i,e_j} is kept, so each is its own basis vector of h
+        assert calls == []
+    # some D_{e_i,e_j} is rejected: one inverse of the h_dim x h_dim matrix Q
+    for label, h_dim in (("dim3-II", 1), ("dim3-VI", 2)):
+        calls.clear()
+        assert standard_embedding(catalog.get(label).system).h_dim == h_dim
+        assert calls == [h_dim]

@@ -17,6 +17,7 @@ from lietriple.formats import (
     serialize_lts,
 )
 from lietriple.embed import standard_embedding
+from lietriple.lie import LieAlgebra
 from util import random_invertible
 
 
@@ -62,6 +63,16 @@ def test_parse_accepts_comments_and_blank_lines():
     t = parse_lts(text)
     assert t.dim == 2
     assert t.c[0][1][0][1] == 1
+
+
+def test_entries_in_any_line_order_give_the_dense_nonzeros():
+    # coordinates of one product or bracket listed out of order, keys interleaved
+    t = parse_lts("LTS 3\n1 2 1 3 -1\n2 3 2 1 1/2\n1 2 1 1 2\n1 2 3 2 1\n")
+    assert t._nz == TripleSystem(t.dim, t.c)._nz
+    assert t._nz[0][1][0] == ((0, 2), (2, -1)) and t._nz[1][0][0] == ((0, -2), (2, 1))
+    g, _ = parse_lie("LIE 3\n1 2 3 1\n2 3 1 -1/2\n1 2 1 1\n")
+    assert g._nz == LieAlgebra(g.dim, g.f)._nz
+    assert g._nz[0][1] == ((0, 1), (2, 1)) and g._nz[1][0] == ((0, -1), (2, -1))
 
 
 def test_parse_lts_errors():

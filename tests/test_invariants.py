@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import invariants_reference as ref
+from lietriple import core, exactla, lie
 from lietriple.classify import fingerprint
 from lietriple.core import (
     TripleSystem,
@@ -19,6 +20,7 @@ from lietriple.core import (
 )
 from lietriple.embed import standard_embedding
 from lietriple.exactla import Echelon, Matrix, full_subspace, inverse, span
+from lietriple.formats import parse_lie, parse_lts, serialize_lie, serialize_lts
 from lietriple.lie import (
     Grading,
     LieAlgebra,
@@ -77,6 +79,11 @@ def test_triple_system_invariants_match_dense_reference(entries):
     tensors = [random_tensor(rng, n) for n in (2, 3, 3, 4, 4)]
     for t in systems(entries) + tensors:
         n = t.dim
+        # the nonzero pairs handed over equal those read off the dense tensor
+        dense = TripleSystem(n, t.c)
+        assert dense == t and dense._nz == t._nz
+        parsed = parse_lts(serialize_lts(t))
+        assert parsed.c == t.c and parsed._nz == t._nz
         assert lts_center(t) == ref.lts_center(t), t
         oms = [full_subspace(n), span([random_vec(rng, n) for _ in range(2)], n)]
         oms += derived_series(t, full_subspace(n)).terms
@@ -94,6 +101,11 @@ def test_lie_invariants_match_dense_reference(entries):
     gradings = 0
     for g in algebras:
         m = g.dim
+        # the nonzero pairs handed over equal those read off the dense table
+        dense = LieAlgebra(m, g.f)
+        assert dense == g and dense._nz == g._nz
+        parsed, _ = parse_lie(serialize_lie(g))
+        assert parsed.f == g.f and parsed._nz == g._nz
         assert lie_derived_series(g) == ref._series(g, lower_central=False)
         assert lower_central_series(g) == ref._series(g, lower_central=True)
         assert killing_form(g) == ref._killing_form(g)
@@ -213,3 +225,22 @@ def test_fingerprint_forms_no_dense_products_and_centres_get_no_zero_rows(monkey
     lts_center(t)
     assert inserted
     assert all(any(v) for v in inserted)
+
+
+def test_fingerprint_spans_the_derived_algebra_once(monkeypatch, by_label):
+    caps = []
+    capped_span = exactla.capped_span
+
+    def record(vectors, ambient_dim, cap):
+        caps.append(cap)
+        return capped_span(vectors, ambient_dim, cap)
+
+    for module in (exactla, core, lie):
+        monkeypatch.setattr(module, "capped_span", record)
+    # h is nonzero, so only a span inside G is capped at g_dim
+    for t in (sphere_system(4), by_label["dim3-VI"].system, by_label["split-2"].system):
+        caps.clear()
+        fp = fingerprint(t)
+        assert fp.h_dim > 0
+        # [G, G]: the second term of both series and the span the radical is orthogonal to
+        assert caps.count(fp.g_dim) == 1, t
