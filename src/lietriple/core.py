@@ -8,9 +8,10 @@ checked by :func:`check_axioms`.
 
 Each system keeps the nonzero coordinates of its products, ``_nz``, and
 the triple product, the integer tensor, the derived series and the centre
-read only those.  ``from_entries`` and ``parse_lts`` hand their nonzero
-pairs over with the dense tensor they build from them; only a system
-constructed as ``TripleSystem(dim, c)`` reads them off ``c``, once.
+read only those.  ``_tensor`` owns the layout of ``c`` and ``_nz``: every
+system built here or by ``parse_lts`` comes from the pairs of the upper
+half through ``_tensor.build``, antisymmetric by construction.  Only
+``TripleSystem(dim, c)`` reads the pairs off ``c`` and checks the tensor.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
+from . import _tensor
 from .exactla import (
     Echelon,
     Matrix,
@@ -31,10 +32,7 @@ from .exactla import (
     kernel,
     subspace_series,
     vec,
-    vec_from_pairs,
-    vec_is_zero,
     vec_nonzeros,
-    zero_vec,
 )
 
 
@@ -54,32 +52,17 @@ class TripleSystem:
     c: tuple  # c[i][j][k] -> coordinate vector, all indices 0-based
 
     def __post_init__(self):
-        n = self.dim
-        if len(self.c) != n or any(
-            len(ci) != n or any(len(cij) != n or any(len(v) != n for v in cij) for cij in ci)
-            for ci in self.c
-        ):
+        if not _tensor.shape_ok(self.c, 3, self.dim):
             raise ValueError("tensor shape does not match dimension")
-        nz = self._nz
-        for i in range(n):
-            for k in range(n):
-                if nz[i][i][k]:
-                    raise InvalidLTS(f"(e{i + 1},e{i + 1},e{k + 1}) must vanish")
-            for j in range(i + 1, n):
-                for k in range(n):
-                    if nz[i][j][k] != tuple([(l, -x) for l, x in nz[j][i][k]]):
-                        raise InvalidLTS(
-                            f"tensor not antisymmetric in the first two slots at ({i + 1},{j + 1},{k + 1})"
-                        )
+        if bad := _tensor.first_asymmetry(self._nz, 3):
+            i, j, k = (s + 1 for s in bad)
+            if i == j:
+                raise InvalidLTS(f"(e{i},e{i},e{k}) must vanish")
+            raise InvalidLTS(f"tensor not antisymmetric in the first two slots at ({i},{j},{k})")
 
     @cached_property
     def _nz(self) -> tuple:
-        # _nz[i][j][k]: the pairs (l, x) of the nonzero coordinates of (e_i, e_j, e_k);
-        # a zero product is matched as a whole
-        zero = zero_vec(self.dim)
-        return tuple(
-            tuple(tuple(() if v == zero else vec_nonzeros(v) for v in cij) for cij in ci) for ci in self.c
-        )
+        return _tensor.nonzeros(self.c, 3)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> TripleSystem:
@@ -87,34 +70,12 @@ class TripleSystem:
 
         The antisymmetric completion c[j][i][k] = -c[i][j][k] is filled in.
         """
-        pairs = {}
-        for (i, j, k), v in entries.items():
-            if not (0 <= i < j < dim and 0 <= k < dim):
-                raise ValueError(f"bad tensor index ({i},{j},{k})")
-            v = vec(v)
-            if len(v) != dim:
-                raise ValueError("coordinate vector length mismatch")
-            pairs[(i, j, k)] = vec_nonzeros(v)
-        return TripleSystem._from_pairs(dim, pairs)
+        return _tensor.from_entries(TripleSystem, dim, 3, entries, "tensor")
 
     @staticmethod
     def _from_pairs(dim: int, pairs: dict) -> TripleSystem:
-        """Build from {(i, j, k): the nonzero pairs (l, x) of (e_i, e_j, e_k),
-        l increasing} with 0-based i < j and k in range: the pairs, negated at
-        (j, i, k), become ``_nz`` and ``c`` is filled in from them."""
-        nz = [[[()] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), p in pairs.items():
-            nz[i][j][k] = p
-            nz[j][i][k] = tuple([(l, -x) for l, x in p])
-        nz = tuple(tuple(map(tuple, ci)) for ci in nz)
-        # absent products all share one zero tuple
-        zero = zero_vec(dim)
-        c = tuple(tuple(tuple(vec_from_pairs(p, dim) if p else zero for p in cij) for cij in ci) for ci in nz)
-        t = object.__new__(TripleSystem)
-        # set as __init__ would, with _nz cached; __post_init__ then checks it
-        vars(t).update(dim=dim, c=c, _nz=nz)
-        t.__post_init__()
-        return t
+        """Build from {(i, j, k): the nonzero pairs (l, x) of (e_i, e_j, e_k)}, 0-based i < j."""
+        return _tensor.build(TripleSystem, dim, 3, pairs)
 
     @staticmethod
     def abelian(dim: int) -> TripleSystem:
@@ -166,28 +127,6 @@ def _triple(t: TripleSystem, xs, ys, zs):
     return tuple(out)
 
 
-def integer_tensor(t: TripleSystem):
-    """Least common denominator d and the sparse integer tensor d·c.
-
-    S maps each (i, j, k) with i != j and a nonzero product to the tuple of
-    pairs (l, d·c_ijk^l) over its nonzero coordinates l, in increasing l;
-    S[(j, i, k)] holds the negated pairs.  The keys with i < j are inserted
-    in lexicographic order.
-    """
-    n = t.dim
-    nz = t._nz
-    d = lcm(*(x.denominator for ci in nz for cij in ci for v in cij for _, x in v))
-    S = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                pairs = tuple((l, int(x * d)) for l, x in nz[i][j][k])
-                if pairs:
-                    S[(i, j, k)] = pairs
-                    S[(j, i, k)] = tuple((l, -x) for l, x in pairs)
-    return d, S
-
-
 def check_axioms(t: TripleSystem) -> AxiomVerdict:
     """Verify the defining identities exactly over all basis instances.
 
@@ -202,15 +141,14 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     on the sparse integer tensor.
     """
     n = t.dim
-    d, S = integer_tensor(t)
-    get = S.get
+    d, S = _tensor.integer(t._nz, 3)
     rng = range(n)
     for i in rng:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 r = [0] * n
-                for key in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in get(key, ()):
+                for p in (S[i][j][k], S[j][k][i], S[k][i][j]):
+                    for l, x in p:
                         r[l] += x
                 if any(r):
                     residual = tuple(Fraction(x, d) for x in r)
@@ -219,24 +157,24 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     # D(u,v,w) - (Du,v,w) - (u,Dv,w) - (u,v,Dw), in units of 1/d^2
     for i in rng:
         for j in range(i + 1, n):
-            D = [get((i, j, u), ()) for u in rng]
+            D = S[i][j]
             if not any(D):
                 continue
             for u in rng:
                 for v in range(u + 1, n):
                     for w in rng:
                         r = [0] * n
-                        for k, x in get((u, v, w), ()):
+                        for k, x in S[u][v][w]:
                             for l, y in D[k]:
                                 r[l] += x * y
                         for k, x in D[u]:
-                            for l, y in get((k, v, w), ()):
+                            for l, y in S[k][v][w]:
                                 r[l] -= x * y
                         for k, x in D[v]:
-                            for l, y in get((u, k, w), ()):
+                            for l, y in S[u][k][w]:
                                 r[l] -= x * y
                         for k, x in D[w]:
-                            for l, y in get((u, v, k), ()):
+                            for l, y in S[u][v][k]:
                                 r[l] -= x * y
                         if any(r):
                             indices = (i + 1, j + 1, u + 1, v + 1, w + 1)
@@ -313,18 +251,9 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
 
 def lts_center(t: TripleSystem) -> Subspace:
     """{z : (z, x, y) = 0 and (x, y, z) = 0 for all basis x, y}."""
-    n = t.dim
-    # row (j, k, l) holds the e_l-coordinates of the (z, e_j, e_k), row (i, j, l)
-    # those of the (e_i, e_j, z); only nonzero rows are built
-    first, third = {}, {}
-    for i, ci in enumerate(t._nz):
-        for j, cij in enumerate(ci):
-            for k, v in enumerate(cij):
-                for l, x in v:
-                    first.setdefault((j, k, l), [ZERO] * n)[i] = x
-                    third.setdefault((i, j, l), [ZERO] * n)[k] = x
-    rows = [tuple(r) for rs in (first, third) for _, r in sorted(rs.items())]
-    return kernel(Matrix.from_rows(rows, n))
+    # the rows of z -> (z, e_j, e_k), then those of z -> (e_i, e_j, z)
+    rows = _tensor.slot_rows(t._nz, 3, (0, 2))
+    return kernel(Matrix.from_rows(rows, t.dim))
 
 
 def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
@@ -339,24 +268,17 @@ def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
         for b in range(a + 1, q):
             for k in range(q):
                 residual = ech.reduce(t.c[complement[a]][complement[b]][complement[k]])
-                red = tuple(residual[j] for j in complement)
-                if not vec_is_zero(red):
-                    entries[(a, b, k)] = red
+                entries[(a, b, k)] = tuple(residual[j] for j in complement)
     return TripleSystem.from_entries(q, entries)
 
 
 def direct_sum(a: TripleSystem, b: TripleSystem) -> TripleSystem:
     """Block tensor with all cross products zero."""
-    n = a.dim + b.dim
-    entries = {}
+    pairs = {}
     for s, o in ((a, 0), (b, a.dim)):
-        for i in range(s.dim):
-            for j in range(i + 1, s.dim):
-                for k in range(s.dim):
-                    v = s.c[i][j][k]
-                    if not vec_is_zero(v):
-                        entries[(o + i, o + j, o + k)] = zero_vec(o) + tuple(v) + zero_vec(n - o - s.dim)
-    return TripleSystem.from_entries(n, entries)
+        for (i, j, k), p in _tensor.upper(s._nz, 3):
+            pairs[(o + i, o + j, o + k)] = tuple([(o + l, x) for l, x in p])
+    return TripleSystem._from_pairs(a.dim + b.dim, pairs)
 
 
 def transform(t: TripleSystem, T: Matrix) -> TripleSystem:
@@ -372,7 +294,5 @@ def transform(t: TripleSystem, T: Matrix) -> TripleSystem:
             for k in range(n):
                 prod_old = triple_product(t, new_rows[a], new_rows[b], new_rows[k])
                 # old coords v relate to new coords x by v = x·T
-                prod_new = Tinv.vecmat(prod_old)
-                if not vec_is_zero(prod_new):
-                    entries[(a, b, k)] = prod_new
+                entries[(a, b, k)] = Tinv.vecmat(prod_old)
     return TripleSystem.from_entries(n, entries)

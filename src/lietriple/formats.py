@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import _tensor
 from .core import TripleSystem
 from .lie import Grading, LieAlgebra
 
@@ -148,11 +149,7 @@ def _write_entries(lines: list, products) -> str:
 
 
 def serialize_lts(t: TripleSystem) -> str:
-    n = t.dim
-    nz = t._nz
-    return _write_entries(
-        [f"LTS {n}"], (((i, j, k), nz[i][j][k]) for i in range(n) for j in range(i + 1, n) for k in range(n))
-    )
+    return _write_entries([f"LTS {t.dim}"], _tensor.upper(t._nz, 3))
 
 
 def parse_lts(text: str) -> TripleSystem:
@@ -167,8 +164,7 @@ def serialize_lie(g: LieAlgebra, grading: Grading | None = None) -> str:
         if len(grading.signs) != g.dim:
             raise ValueError("grading length does not match algebra dimension")
         lines.append("GRADE " + " ".join("+" if s == 1 else "-" for s in grading.signs))
-    m = g.dim
-    return _write_entries(lines, (((i, j), g._nz[i][j]) for i in range(m) for j in range(i + 1, m)))
+    return _write_entries(lines, _tensor.upper(g._nz, 2))
 
 
 def parse_lie(text: str) -> tuple[LieAlgebra, Grading | None]:

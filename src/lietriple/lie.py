@@ -5,12 +5,13 @@ from a graded algebra back to a triple system.
 
 Each algebra keeps the nonzero coordinates of its brackets, ``_nz``, and
 the bracket, the series, the Killing form, the radical, the centre and the
-antisymmetry and grading checks read only those.  ``from_entries``,
-``parse_lie`` and ``standard_embedding`` hand their nonzero pairs over
-with the dense table they build from them; only an algebra constructed as
-``LieAlgebra(dim, f)`` reads them off ``f``, once.  [G, G] is spanned once
-per algebra too: it is the second term of both series and the span whose
-Killing-orthogonal complement is the radical.
+grading check read only those.  ``_tensor`` owns the layout of ``f`` and
+``_nz``: ``from_entries``, ``parse_lie`` and ``standard_embedding`` build
+from the pairs of the upper half through ``_tensor.build``, antisymmetric
+by construction.  Only ``LieAlgebra(dim, f)`` reads the pairs off ``f`` and
+checks the table.  [G, G] is spanned once per algebra too: it is the
+second term of both series and the span whose Killing-orthogonal
+complement is the radical.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
+from . import _tensor
 from .core import TripleSystem
 from .exactla import (
     Matrix,
@@ -31,10 +32,7 @@ from .exactla import (
     kernel,
     subspace_series,
     vec,
-    vec_from_pairs,
-    vec_is_zero,
     vec_nonzeros,
-    zero_vec,
 )
 
 
@@ -50,23 +48,17 @@ class LieAlgebra:
     f: tuple  # f[i][j] -> coordinate vector, 0-based
 
     def __post_init__(self):
-        m = self.dim
-        if len(self.f) != m or any(len(fi) != m or any(len(v) != m for v in fi) for fi in self.f):
+        if not _tensor.shape_ok(self.f, 2, self.dim):
             raise ValueError("bracket tensor shape does not match dimension")
-        nz = self._nz
-        for i in range(m):
-            if nz[i][i]:
-                raise ValueError(f"[e{i + 1},e{i + 1}] must vanish")
-            for j in range(i + 1, m):
-                if nz[i][j] != tuple([(l, -x) for l, x in nz[j][i]]):
-                    raise ValueError(f"brackets not antisymmetric at ({i + 1},{j + 1})")
+        if bad := _tensor.first_asymmetry(self._nz, 2):
+            i, j = (s + 1 for s in bad)
+            if i == j:
+                raise ValueError(f"[e{i},e{i}] must vanish")
+            raise ValueError(f"brackets not antisymmetric at ({i},{j})")
 
     @cached_property
     def _nz(self) -> tuple:
-        # _nz[i][j]: the pairs (l, x) of the nonzero coordinates of [e_i, e_j];
-        # a zero bracket is matched as a whole
-        zero = zero_vec(self.dim)
-        return tuple(tuple(() if v == zero else vec_nonzeros(v) for v in fi) for fi in self.f)
+        return _tensor.nonzeros(self.f, 2)
 
     @cached_property
     def _killing(self) -> Matrix:
@@ -77,39 +69,17 @@ class LieAlgebra:
     @cached_property
     def _derived(self) -> Subspace:
         # [G, G], spanned by the nonzero brackets [e_i, e_j] with i < j
-        m = self.dim
-        return capped_span((self.f[i][j] for i in range(m) for j in range(i + 1, m) if self._nz[i][j]), m, m)
+        return capped_span((self.f[i][j] for (i, j), _ in _tensor.upper(self._nz, 2)), self.dim, self.dim)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> LieAlgebra:
         """Build from a sparse map {(i, j): vector} with 0-based i < j."""
-        pairs = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bad bracket index ({i},{j})")
-            v = vec(v)
-            if len(v) != dim:
-                raise ValueError("coordinate vector length mismatch")
-            pairs[(i, j)] = vec_nonzeros(v)
-        return LieAlgebra._from_pairs(dim, pairs)
+        return _tensor.from_entries(LieAlgebra, dim, 2, entries, "bracket")
 
     @staticmethod
     def _from_pairs(dim: int, pairs: dict) -> LieAlgebra:
-        """Build from {(i, j): the nonzero pairs (l, x) of [e_i, e_j], l
-        increasing} with 0-based i < j in range: the pairs, negated at
-        (j, i), become ``_nz`` and ``f`` is filled in from them."""
-        nz = [[()] * dim for _ in range(dim)]
-        for (i, j), p in pairs.items():
-            nz[i][j] = p
-            nz[j][i] = tuple([(l, -x) for l, x in p])
-        nz = tuple(map(tuple, nz))
-        zero = zero_vec(dim)
-        f = tuple(tuple(vec_from_pairs(p, dim) if p else zero for p in nzi) for nzi in nz)
-        g = object.__new__(LieAlgebra)
-        # set as __init__ would, with _nz cached; __post_init__ then checks it
-        vars(g).update(dim=dim, f=f, _nz=nz)
-        g.__post_init__()
-        return g
+        """Build from {(i, j): the nonzero pairs (l, x) of [e_i, e_j]}, 0-based i < j."""
+        return _tensor.build(LieAlgebra, dim, 2, pairs)
 
     @staticmethod
     def abelian(dim: int) -> LieAlgebra:
@@ -187,13 +157,6 @@ def _bracket(g: LieAlgebra, xs, ys):
     return tuple(out)
 
 
-def _integer_brackets(g: LieAlgebra):
-    """Least common denominator d of the brackets, and nz with nz[a][b] the
-    nonzero coordinates (l, d·x) of [e_a, e_b], in integers."""
-    d = lcm(*(x.denominator for fa in g._nz for v in fa for _, x in v))
-    return d, [[[(l, x.numerator * (d // x.denominator)) for l, x in v] for v in fa] for fa in g._nz]
-
-
 def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     """Jacobi identity over all basis triples; first violation in lex order.
 
@@ -202,7 +165,7 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
     of [e_q, e_c].  The residual is d^-2 times the integer sum."""
     m = g.dim
-    d, nz = _integer_brackets(g)
+    d, nz = _tensor.integer(g._nz, 2)
     for i in range(m):
         for j in range(m):
             ij, nz_j = nz[i][j], nz[j]
@@ -263,7 +226,7 @@ def _killing_form(g: LieAlgebra) -> Matrix:
     The constants are scaled to integers by their least common denominator
     d, as in check_jacobi, and each entry is d^-2 times the integer sum."""
     m = g.dim
-    d, nz = _integer_brackets(g)
+    d, nz = _tensor.integer(g._nz, 2)
     # by_lk[(l, k)]: the pairs (j, d·c_jl^k) of the nonzero constants
     by_lk = {}
     for j, nzj in enumerate(nz):
@@ -343,27 +306,18 @@ def lie_radical(g: LieAlgebra) -> Subspace:
 
 def lie_center(g: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}."""
-    m = g.dim
-    # row (j, l) holds the e_l-coordinates of the [e_i, e_j]; only nonzero rows are built
-    rows = {}
-    for i, nzi in enumerate(g._nz):
-        for j, v in enumerate(nzi):
-            for l, x in v:
-                rows.setdefault((j, l), [ZERO] * m)[i] = x
-    return kernel(Matrix.from_rows([tuple(r) for _, r in sorted(rows.items())], m))
+    return kernel(Matrix.from_rows(_tensor.slot_rows(g._nz, 2, (0,)), g.dim))
 
 
 def check_grading(g: LieAlgebra, gr: Grading) -> GradingVerdict:
     """Every bracket must land in the parity-correct coordinate span."""
     if len(gr.signs) != g.dim:
         raise ValueError("grading length does not match algebra dimension")
-    m = g.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            parity = gr.signs[i] * gr.signs[j]
-            for l, _ in g._nz[i][j]:
-                if gr.signs[l] != parity:
-                    return GradingVerdict(False, (i + 1, j + 1), l + 1)
+    for (i, j), p in _tensor.upper(g._nz, 2):
+        parity = gr.signs[i] * gr.signs[j]
+        for l, _ in p:
+            if gr.signs[l] != parity:
+                return GradingVerdict(False, (i + 1, j + 1), l + 1)
     return GradingVerdict(True)
 
 
@@ -389,8 +343,6 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
                 continue
             for k in range(n):
                 double = _bracket(g, inner, ((minus[k], ONE),))
-                coords = tuple(double[minus[l]] for l in range(n))
                 # parity guarantees the plus-part of the double bracket vanishes
-                if not vec_is_zero(coords):
-                    entries[(a, b, k)] = coords
+                entries[(a, b, k)] = tuple(double[minus[l]] for l in range(n))
     return TripleSystem.from_entries(n, entries)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import _witness_py
-from .core import TripleSystem, integer_tensor
+from . import _tensor, _witness_py
+from .core import TripleSystem
 from .exactla import Matrix
 
 BACKEND = "python"
@@ -55,6 +55,21 @@ def value_prefix(stage: int) -> list[Fraction]:
     return out
 
 
+def _kernel_args(a: TripleSystem, b: TripleSystem) -> tuple:
+    """(n, a_entries, b_flat, m_lhs, m_rhs) of ``stage_search`` for integer
+    candidate values: a scaled by da and b by db, with m_lhs = db, m_rhs = da."""
+    n = a.dim
+    da, sa = _tensor.integer(a._nz, 3)
+    db, sb = _tensor.integer(b._nz, 3)
+    a_entries = [(i, j, k, l, x) for (i, j, k), pairs in _tensor.upper(sa, 3) for l, x in pairs]
+    b_flat = [0] * n**4
+    for (i, j, k), pairs in _tensor.upper(sb, 3):
+        for l, x in pairs:
+            b_flat[((i * n + j) * n + k) * n + l] = x
+            b_flat[((j * n + i) * n + k) * n + l] = -x
+    return n, a_entries, b_flat, db, da
+
+
 def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | None:
     """First basis-change matrix T (in enumeration order) with
     transform(a, T) == b, scanning at most ``budget`` invertible candidates.
@@ -63,18 +78,10 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     """
     if a.dim != b.dim:
         return None
-    n = a.dim
-    if n == 0:
+    if a.dim == 0:
         # the empty basis change is the one candidate, and it is invertible
         return Matrix.identity(0) if budget >= 1 else None
-    da, sa = integer_tensor(a)
-    db, sb = integer_tensor(b)
-    a_entries = [(i, j, k, l, x) for (i, j, k), pairs in sa.items() if i < j for l, x in pairs]
-    b_flat = [0] * n**4
-    for (i, j, k), pairs in sb.items():
-        for l, x in pairs:
-            b_flat[((i * n + j) * n + k) * n + l] = x
-
+    n, a_entries, b_flat, db, da = _kernel_args(a, b)
     remaining = budget
     stage = 1
     prev_count = 0

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from lietriple.core import AxiomVerdict, TripleSystem, integer_tensor
+from lietriple.core import AxiomVerdict, TripleSystem
 from lietriple.exactla import (
     Echelon,
     Matrix,
@@ -237,6 +238,20 @@ def lts_center(t: TripleSystem) -> Subspace:
     if not rows:
         return full_subspace(n)
     return kernel(Matrix.from_rows(rows))
+
+
+def integer_tensor(t: TripleSystem):
+    """Least common denominator d of the dense tensor, and the map S from
+    each (i, j, k) with a nonzero product to the pairs (l, d·c_ijk^l) of its
+    nonzero coordinates, read off ``t.c``."""
+    n = t.dim
+    d = lcm(*(x.denominator for ci in t.c for cij in ci for v in cij for x in v))
+    S = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        pairs = tuple((l, int(x * d)) for l, x in enumerate(t.c[i][j][k]) if x)
+        if pairs:
+            S[(i, j, k)] = pairs
+    return d, S
 
 
 def check_axioms(t: TripleSystem) -> AxiomVerdict:

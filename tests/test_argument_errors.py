@@ -23,9 +23,17 @@ ZERO2 = Matrix.zeros(2, 3)
     [
         (lambda: TripleSystem.from_entries(2, {(1, 0, 0): (1, 0)}), ValueError, "bad tensor index (1,0,0)"),
         (lambda: TripleSystem.from_entries(2, {(0, 1, 0): (1,)}), ValueError, "coordinate vector length mismatch"),
+        (lambda: TripleSystem.from_entries(2, {(0, 1): (1, 0)}), ValueError, "bad tensor index (0,1)"),
+        (lambda: TripleSystem.from_entries(2, {(0, 1, 0.5): (1, 0)}), ValueError, "bad tensor index (0,1,0.5)"),
         (lambda: LieAlgebra.from_entries(2, {(1, 0): (1, 0)}), ValueError, "bad bracket index (1,0)"),
         (lambda: LieAlgebra.from_entries(2, {(0, 1): (1,)}), ValueError, "coordinate vector length mismatch"),
+        (lambda: LieAlgebra.from_entries(2, {(0, 1, 0): (1, 0)}), ValueError, "bad bracket index (0,1,0)"),
         (lambda: LieAlgebra(2, G2.f[:1]), ValueError, "bracket tensor shape does not match dimension"),
+        (lambda: TripleSystem.abelian(-1), ValueError, "tensor shape does not match dimension"),
+        # an id of its own: the message repeats the row above, whose id would change
+        pytest.param(
+            lambda: LieAlgebra.abelian(-1), ValueError, "bracket tensor shape does not match dimension", id="lie-dim-1"
+        ),
         (lambda: transform(T2, ZERO2), ValueError, "transform matrix must be n x n"),
         (lambda: Grading((1, 0)), ValueError, "grading signs must be +1 or -1"),
         (lambda: check_grading(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),

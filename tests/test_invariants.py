@@ -14,7 +14,9 @@ from lietriple.core import (
     TripleSystem,
     derived_series,
     derived_subspace,
+    direct_sum,
     lts_center,
+    quotient,
     transform,
     triple_product,
 )
@@ -32,6 +34,7 @@ from lietriple.lie import (
     lie_center,
     lie_derived_series,
     lie_radical,
+    lie_to_lts,
     lower_central_series,
 )
 from util import random_invertible, random_rational, sphere_system
@@ -59,6 +62,11 @@ def systems(entries):
     out += [transform(t, random_invertible(rng, t.dim)) for t in out for _ in range(2)]
     out += [sphere_system(k) for k in range(2, 8)]
     out += [TripleSystem.abelian(n) for n in range(4)]
+    # the outputs of the internal builders, which the dense constructor re-checks below
+    base, changed = out[: len(entries)], out[len(entries) : 3 * len(entries) : 5]
+    out += [direct_sum(a, b) for a, b in zip(base[:3], base[-3:])]
+    out += [quotient(t, s) for t in base for s in derived_series(t, full_subspace(t.dim)).terms if 0 < s.dim < t.dim]
+    out += [lie_to_lts(e.algebra, e.grading) for e in map(standard_embedding, changed)]
     return out
 
 

@@ -18,9 +18,9 @@ import pytest
 
 import lietriple._witness_py as wpy
 import witness_reference as ref
-from lietriple.core import TripleSystem, direct_sum, integer_tensor, transform
+from lietriple.core import TripleSystem, direct_sum, transform
 from lietriple.exactla import Echelon, Matrix
-from lietriple.witness import search_witness
+from lietriple.witness import _kernel_args, search_witness
 from util import random_invertible, sphere_system
 
 TIED_GROUPS = [
@@ -49,20 +49,6 @@ def driver_calls(monkeypatch):
 
     monkeypatch.setattr(wpy, "stage_search", checked)
     return calls
-
-
-def kernel_args(a, b):
-    """(n, a_entries, b_flat, m_lhs, m_rhs) as the driver builds them for
-    integer candidate values."""
-    n = a.dim
-    da, sa = integer_tensor(a)
-    db, sb = integer_tensor(b)
-    a_entries = [(i, j, k, l, x) for (i, j, k), pairs in sa.items() if i < j for l, x in pairs]
-    b_flat = [0] * n**4
-    for (i, j, k), pairs in sb.items():
-        for l, x in pairs:
-            b_flat[((i * n + j) * n + k) * n + l] = x
-    return n, a_entries, b_flat, db, da
 
 
 def assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
@@ -147,16 +133,16 @@ def test_kernel_budgets_around_hits_and_inside_cut_subtrees(by_label, driver_cal
 
 def test_kernel_stage_with_new_start(by_label):
     # stage 1 alone: the first automorphism of dim2-1 over {0, 1, -1}
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["dim2-1"].system, by_label["dim2-1"].system)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["dim2-1"].system, by_label["dim2-1"].system)
     assert assert_same(n, a_entries, b_flat, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)[1] is not None
     # stage 2 alone, with tuples over the stage-1 values excluded, scaled by 2
     vals = [0, 2, -2, 4, -4, 1, -1]
     for a, b, budget in (("dim3-III+", "dim3-IV+", 3000), ("split-5", "split-6", 3000), ("dim2-1", "dim2-1", 10**6)):
-        n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label[a].system, by_label[b].system)
+        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label[a].system, by_label[b].system)
         assert_same(n, a_entries, b_flat, vals, 3, budget, m_lhs, m_rhs * 4)
     # a whole 3-dim stage whose only new value is 2: subtrees cut under
     # prefixes of old values count only the completions holding a 2
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["split-3"].system, by_label["split-4"].system)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-3"].system, by_label["split-4"].system)
     assert_same(n, a_entries, b_flat, [0, 1, 2], 2, 10**6, m_lhs, m_rhs)
 
 
@@ -171,11 +157,11 @@ def test_kernel_dimension_four():
     # entries in {0, 1}: 2^16 candidate tuples, 22,560 of them invertible
     a = sphere_system(4)
     b = transform(a, Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]]))
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, b)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
     tested, digits = assert_same(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs)
     assert digits is not None
     assert_same(n, a_entries, b_flat, [0, 1], 0, tested - 1, m_lhs, m_rhs)
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, TripleSystem.abelian(4))
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, TripleSystem.abelian(4))
     assert assert_same(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs) == (22560, None)
 
 
@@ -274,7 +260,7 @@ def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
     does."""
     sources = (TripleSystem.abelian(2), TripleSystem.abelian(3), by_label["dim2-4a"].system, by_label["dim3-II"].system)
     for source in sources:
-        n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(source, TripleSystem.abelian(source.dim))
+        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(source, TripleSystem.abelian(source.dim))
         # the whole of a 3-dim stage 2 is 7**9 tuples for the reference
         stages = [([0, 1, -1], 0)] + [([0, 2, -2, 4, -4, 1, -1], 3)] * (n == 2)
         for vals, new_start in stages:
@@ -317,10 +303,10 @@ def test_mirror_depths_match_a_scan_of_sign_changes(by_label):
     changed = [transform(t, random_invertible(rng, t.dim)) for t in catalog + spheres[:4]]
     sums = [direct_sum(line, t) for t in catalog] + [direct_sum(t, line) for t in catalog]
     for t in catalog + spheres + changed + sums:
-        got = mirror_depths(*kernel_args(t, t)[:3])
+        got = mirror_depths(*_kernel_args(t, t)[:3])
         assert got == sign_change_depths(t), t.dim
         assert got[0]  # -I fixes every b
-    got = {label: mirror_depths(*kernel_args(e.system, e.system)[:3]) for label, e in by_label.items()}
+    got = {label: mirror_depths(*_kernel_args(e.system, e.system)[:3]) for label, e in by_label.items()}
     assert sum(all(m) for m in got.values()) == 15
     assert [label for label, m in got.items() if not m[1]] == ["dim3-II", "dim3-VI"]
     assert [label for label, m in got.items() if m[1:] == [True, False]] == [
@@ -336,7 +322,7 @@ def test_mirror_budgets_inside_skipped_subtrees(by_label):
     is counted from that of (0, 1, 0) instead of searched; and (0, 0, 1)
     has 48 * 9 = 432 invertible completions, so candidates 433-864 lie
     under (0, 0, -1), counted from the subtree of (0, 0, 1)."""
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
     assert mirror_depths(n, a_entries, b_flat) == [True] * 3
     rng = random.Random(55)
     budgets = list(range(1, 73)) + [433, 434, 863, 864, 865, 10**6]
@@ -357,7 +343,7 @@ def hit_under_unmirrored_negative_row(rng, sources, vals, first_rows, tuples):
         T = Matrix.from_rows(rows, n)
         if Echelon(n, T.entries).rank < n:
             continue
-        n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, transform(a, T))
         args = (n, a_entries, b_flat, vals, 0, 10**6, m_lhs, m_rhs)
         _, digits = wpy.stage_search(*args)
         index = 0
@@ -397,7 +383,7 @@ def test_mirror_four_dim_target_with_inner_symmetries(by_label):
     line = TripleSystem.abelian(1)
     a = direct_sum(by_label["dim3-II"].system, line)
     b = direct_sum(line, by_label["split-1b"].system)
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, b)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
     assert mirror_depths(n, a_entries, b_flat) == [True] * 4
     for budget in (1369, random.Random(4).randint(1370, 1421), 1422, 1423):
         assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
@@ -427,7 +413,7 @@ def test_mirror_inside_a_counted_subtree():
     (1, 1, 1, 1), (1, 1, 1, 0)."""
     a = sphere_system(4)
     T = Matrix.from_rows([[1, 1, 1, 1], [1, 1, 1, 0], [0, -1, 0, 1], [0, 1, 1, 1]])
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, transform(a, T))
     assert mirror_depths(n, a_entries, b_flat) == [True, False, False, False]
     assert fails_at_last_row(n, a_entries, b_flat, m_lhs, m_rhs, [(1, 1, 1, 1), (1, 1, 1, -1)])
     rng = random.Random(0)
@@ -441,7 +427,7 @@ def test_mirror_needs_sign_paired_values(by_label):
     """Negating a row maps the stage onto itself only when every -v is a
     value on the same side of new_start as v, and after v > 0: with -1
     before 1, or with 1 old and -1 new, no subtree is mirrored."""
-    n, a_entries, b_flat, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
     for vals, new_start in (([0, -1, 1], 0), ([0, 1, -1], 2)):
         assert_same(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
 
