@@ -6,7 +6,9 @@ tables of coordinate vectors.  Each instance also keeps ``_nz``: the same
 nesting, with each vector replaced by the pairs (l, x) of its nonzero
 coordinates, l increasing.  ``build`` fills in the lower half, negated,
 from the pairs of the upper half, key[0] < key[1], so its output is
-antisymmetric by construction and is not checked again.
+antisymmetric by construction and is not checked again.  ``integer``
+keeps the table scaled to integers on the instance, so each table is
+scaled once, whichever reader asks first.
 """
 
 from dataclasses import fields
@@ -92,11 +94,17 @@ def first_asymmetry(nz, rank: int) -> tuple | None:
     return None
 
 
-def integer(nz, rank: int) -> tuple:
-    """The least common denominator d of an antisymmetric table of pairs, read
-    off its upper half, and the table with each entry x replaced by the int d·x."""
-    d = lcm(*(x.denominator for _, p in upper(nz, rank) for _, x in p))
-    return d, _map(nz, rank, lambda p: tuple([(l, x.numerator * (d // x.denominator)) for l, x in p]) if p else ())
+def integer(obj, rank: int) -> tuple:
+    """The least common denominator d of the instance's table, read off the
+    upper half of its ``_nz``, and ``_nz`` with each entry x replaced by the
+    int d·x; computed once per instance and kept on it."""
+    scaled = vars(obj).get("_integer")
+    if scaled is None:
+        nz = obj._nz
+        d = lcm(*(x.denominator for _, p in upper(nz, rank) for _, x in p))
+        table = _map(nz, rank, lambda p: tuple([(l, x.numerator * (d // x.denominator)) for l, x in p]) if p else ())
+        scaled = vars(obj)["_integer"] = d, table
+    return scaled
 
 
 def upper(nz, rank: int) -> list:
@@ -107,16 +115,21 @@ def upper(nz, rank: int) -> list:
 
 
 def slot_rows(nz, rank: int, slots) -> list:
-    """For each slot in turn, the nonzero rows, in key order, of z -> the table
-    with z in that slot: row (key without the slot, l) holds at s the
-    coordinate l of the cell whose key has s in the slot."""
-    cells = [(key + (k,), p) for key, t in _cells([((), nz)], rank - 1) for k, p in enumerate(t) if p]
-    out = []
-    for slot in slots:
-        rows = {}
-        for key, p in cells:
-            rest, s = key[:slot] + key[slot + 1 :], key[slot]
-            for l, x in p:
-                rows.setdefault(rest + (l,), [ZERO] * len(nz))[s] = x
-        out += [tuple(r) for _, r in sorted(rows.items())]
-    return out
+    """For each slot in turn, the first (0) or the last (rank - 1), the
+    nonzero rows, in key order, of z -> the table with z in that slot: row
+    (key without the slot, l) holds at s the coordinate l of the cell whose
+    key has s in the slot."""
+    n = len(nz)
+    if rank == 2:
+        nz = [(t,) for t in nz]  # read as rank 3 with a middle index of 0, which keeps the key order
+    first = {} if 0 in slots else None
+    last = {} if rank - 1 in slots else None
+    for i, ti in enumerate(nz):
+        for j, tij in enumerate(ti):
+            for k, p in enumerate(tij):
+                for l, x in p:
+                    if first is not None:
+                        first.setdefault((j, k, l), [ZERO] * n)[i] = x
+                    if last is not None:
+                        last.setdefault((i, j, l), [ZERO] * n)[k] = x
+    return [tuple(r) for slot in slots for _, r in sorted((last if slot else first).items())]

@@ -14,11 +14,14 @@ without walking every tuple.  It cuts four kinds of subtree:
   ``tested``;
 * the last row, which is solved for.  Every equation that reads the last
   row v is linear in v, except those whose wedge and third argument both
-  read it.  The linear ones, reduced by ``exactla.Echelon`` on integer
-  rows, leave an affine solution set, and only its points on the value
-  grid are checked in full.  Without a hit the row's invertible
-  candidates are counted as in a cut; with one, the candidates before it
-  are counted from the dot products of their suffixes;
+  read it.  A linear one reads v in the wedge or in the third slot, and
+  through the target's term for row n - 1, so its coefficients are
+  bilinear in the rows already placed and are read off them directly.
+  Reduced by ``exactla.Echelon`` on integer rows, these equations leave an
+  affine solution set, and only its points on the value grid are checked
+  in full.  Without a hit the row's invertible candidates are counted as
+  in a cut; with one, the candidates before it are counted from the dot
+  products of their suffixes;
 * the mirror of a subtree already searched or counted.  Let S = diag(s)
   be a sign change that fixes b: s_i s_j s_k s_l = 1 at every nonzero
   b_ijk^l.  Replacing T by S·T multiplies both sides of equation
@@ -35,6 +38,14 @@ without walking every tuple.  It cuts four kinds of subtree:
   invertibility and stage-newness, which negating a row keeps, whether
   or not a sign change fixes b.
 
+The geometry of the grid depends only on the stage's values and the rows
+placed, never on the two systems: which rows are independent of the rows
+above them, the integer basis orthogonal to those rows, and the number of
+invertible last rows under them.  It is kept in one memo per process,
+shared by every search, and holds at most ``_Grid.LIMIT`` entries; past
+that, geometry is computed as needed and not kept, and the next stage
+starts a new memo.
+
 All arithmetic is over Python ints (the driver pre-scales every rational
 input), which are exact at any size.
 """
@@ -43,8 +54,48 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd
+from operator import mul, neg
 
 from .exactla import Echelon
+
+
+class _Node:
+    """The rows on a path of the grid's prefix tree: ``perp`` is a primitive
+    integer basis of the vectors orthogonal to them, and ``children`` maps
+    each value row tried below them to its node, or to None when the row
+    is dependent on them."""
+
+    __slots__ = ("perp", "children")
+
+    def __init__(self, perp):
+        self.perp = perp
+        self.children = {}
+
+
+class _Grid:
+    """The grid geometry of every search in the process: a prefix tree of
+    value rows with one root per n, and, per (vals, new_start), the count
+    of invertible last rows under each normal.  Past ``LIMIT`` entries in
+    all, what is computed is not kept."""
+
+    # full, about 3 MB at n = 12, where each search meets new geometry
+    LIMIT = 1 << 14
+
+    def __init__(self):
+        self.roots = {}
+        self.counts = {}
+        self.size = 0
+
+    def keep(self, table, key, value):
+        """Store value at table[key] while the memo has room; return it."""
+        if self.size < self.LIMIT:
+            table[key] = value
+            self.size += 1
+        return value
+
+
+_grid = _Grid()
+_UNSEEN = object()
 
 
 def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
@@ -87,30 +138,27 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     mirrored = _mirror_depths(n, equations) if signed else [False] * n
     rows = [None] * n  # value rows placed so far
     drows = [None] * n  # their digit rows
-    # perp[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
-    # is independent of rows[:d] exactly when it is not orthogonal to all
-    perp = [None] * (n + 1)
-    perp[0] = [tuple(int(r == c) for c in range(n)) for r in range(n)]
-    last_counts = {}
+    global _grid
+    if _grid.size >= _Grid.LIMIT:
+        _grid = _Grid()  # a full memo keeps nothing new, so the searches after it start afresh
+    grid = _grid
+    # nodes[d]: the grid's node of rows[:d], whose perp is a basis of the
+    # integer vectors orthogonal to rows[:d]; a row is independent of
+    # rows[:d] exactly when it is not orthogonal to all of them
+    nodes = [None] * n
+    nodes[0] = grid.roots.get(n)
+    if nodes[0] is None:
+        nodes[0] = grid.keep(grid.roots, n, _Node([tuple(int(r == c) for c in range(n)) for r in range(n)]))
+    stage = (tuple(vals), new_start)
+    last_counts = grid.counts.get(stage)
+    if last_counts is None:
+        last_counts = grid.keep(grid.counts, stage, {})
     tested = 0
-
-    def image(i, j, k):
-        """(T_i, T_j, T_k) in the source system, in source coordinates."""
-        Ti, Tj, Tk = rows[i], rows[j], rows[k]
-        lhs = [0] * n
-        for a, b, terms in pairs:
-            w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
-            if w:
-                for c, l, val in terms:
-                    x = Tk[c]
-                    if x:
-                        lhs[l] += w * x * val
-        return lhs
 
     def holds(depth):
         """Equations decided by the row just placed at ``depth``."""
         for i, j, k, brow in equations[depth]:
-            lhs = image(i, j, k)
+            lhs = _image(n, pairs, rows[i], rows[j], rows[k])
             for l in range(n):
                 rhs = 0
                 for d, bv in brow:
@@ -119,30 +167,12 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
                     return False
         return True
 
-    def residuals():
-        """Both sides' difference in every coordinate of every linear
-        equation on the last row."""
-        out = []
-        for i, j, k, brow in linear:
-            lhs = image(i, j, k)
-            for l in range(n):
-                out.append(lhs[l] * m_lhs - m_rhs * sum(bv * rows[d][l] for d, bv in brow))
-        return out
-
     def solutions():
         """The rows over vals that satisfy every linear equation on the
         last row, as (digits, values) in digit order: every row, lazily,
         when those equations constrain no coordinate."""
-        # the residuals are affine in the last row: read them at 0 and at
-        # each unit vector
-        rows[last] = (0,) * n
-        base = residuals()
-        columns = []
-        for unit in perp[0]:
-            rows[last] = unit
-            columns.append([x - y for x, y in zip(residuals(), base)])
-        system = [[col[e] for col in columns] + [-b] for e, b in enumerate(base)]
-        pivots = _reduced_echelon(system, n)
+        system = _last_row_system(n, linear, pairs, rows, m_lhs, m_rhs)
+        pivots = None if system is None else _reduced_echelon(system, n)
         if pivots is None:
             return []
         if not pivots:
@@ -152,23 +182,23 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     def last_rows(has_new):
         """Invertible last rows under rows[:n - 1], with a digit new to the
         stage unless ``has_new``, memoised on the rows' normal."""
-        (w,) = perp[last]
-        if next(x for x in w if x) < 0:
-            w = tuple(-x for x in w)
+        (w,) = nodes[last].perp
+        if next(filter(None, w)) < 0:
+            w = tuple(map(neg, w))
         key = (w, has_new)
         count = last_counts.get(key)
         if count is None:
             count = nvals**n - _zeros(w, vals)
             if not has_new:
                 count -= new_start**n - _zeros(w, vals[:new_start])
-            last_counts[key] = count
+            grid.keep(last_counts, key, count)
         return count
 
     def rows_before(drow, has_new):
         """The rows last_rows(has_new) counts that come before ``drow``:
         for each position p, those that agree with drow before p and are
         smaller at p, counted by the dot products of their suffixes."""
-        (w,) = perp[last]
+        (w,) = nodes[last].perp
         count = 0
         s = 0  # w . the values of drow before p
         old = not has_new  # no digit of drow before p is new
@@ -195,10 +225,10 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         cut does."""
         nonlocal tested
         if depth == last:
-            (w,) = perp[last]
+            (w,) = nodes[last].perp
             for drow, row in solutions() if live else ():
                 # a tuple without a new digit belongs to an earlier stage
-                if not (has_new or max(drow) >= new_start) or not sum(x * y for x, y in zip(w, row)):
+                if not (has_new or max(drow) >= new_start) or not sum(map(mul, w, row)):
                     continue
                 rows[last] = row
                 if holds(last):
@@ -214,18 +244,23 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         # row, kept where a sign change fixing b has its first -1, or
         # anywhere in a counted subtree
         counts = {} if (mirrored[depth] if live else signed) else None
+        node = nodes[depth]
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
-            if counts is not None and next((x for x in row if x), 0) < 0:
+            if counts is not None and next(filter(None, row), 0) < 0:
                 # the mirror of a subtree searched or counted without a hit
-                count = counts.get(tuple(-x for x in row))
+                count = counts.get(tuple(map(neg, row)))
                 if count is not None:
                     tested += count
                     if tested >= budget:
                         return budget, None
                 continue
-            perp[depth + 1] = _orthogonal(perp[depth], row)
-            if perp[depth + 1] is None:
+            child = node.children.get(row, _UNSEEN)
+            if child is _UNSEEN:
+                perp = _orthogonal(node.perp, row)
+                child = grid.keep(node.children, row, perp and _Node(perp))
+            if child is None:
                 continue
+            nodes[depth + 1] = child
             start = tested
             rows[depth] = row
             drows[depth] = drow
@@ -237,6 +272,73 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         return None
 
     return search(0, not new_start, True) or (tested, None)
+
+
+def _image(n, pairs, Ti, Tj, Tk):
+    """(T_i, T_j, T_k) in the source system, in source coordinates."""
+    lhs = [0] * n
+    for a, b, terms in pairs:
+        w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
+        if w:
+            for c, l, val in terms:
+                x = Tk[c]
+                if x:
+                    lhs[l] += w * x * val
+    return lhs
+
+
+def _last_row_system(n, linear, pairs, rows, m_lhs, m_rhs):
+    """The equations ``linear`` on the last row v as integer rows
+    [coefficients of v | -constant], read off the placed rows rows[:n - 1];
+    None when one has no coefficient and a nonzero constant.
+
+    The source side reads v in the wedge (j = n - 1) or in the third slot
+    (k = n - 1), never both, and the target side through its term d = n - 1,
+    so the coefficients are bilinear in the placed rows.  Rows without a
+    coefficient are left out."""
+    last = n - 1
+    system = []
+    for i, j, k, brow in linear:
+        Ti = rows[i]
+        coefs = [[0] * n for _ in range(n)]  # coefs[l]: coordinate l's coefficients of v
+        if j == last:
+            # (T_i ∧ v, T_k): a wedge term T_i[a]·v[b] - T_i[b]·v[a]
+            Tk = rows[k]
+            const = [0] * n
+            for a, b, terms in pairs:
+                ta, tb = Ti[a], Ti[b]
+                if ta or tb:
+                    for c, l, val in terms:
+                        x = Tk[c] * val
+                        if x:
+                            coefs[l][b] += ta * x
+                            coefs[l][a] -= tb * x
+        elif k == last:
+            # (T_i ∧ T_j, v)
+            Tj = rows[j]
+            const = [0] * n
+            for a, b, terms in pairs:
+                w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
+                if w:
+                    for c, l, val in terms:
+                        coefs[l][c] += w * val
+        else:
+            const = _image(n, pairs, Ti, rows[j], rows[k])
+        for l in range(n):
+            row = [m_lhs * x for x in coefs[l]]
+            rhs = 0
+            for d, bv in brow:
+                if d == last:
+                    row[l] -= m_rhs * bv
+                else:
+                    rhs += bv * rows[d][l]
+            b = m_rhs * rhs - m_lhs * const[l]
+            if any(row):
+                row.append(b)
+                system.append(row)
+            elif b:
+                return None
+    return system
 
 
 def _pairs(a_entries):
@@ -327,7 +429,7 @@ def _grid_points(pivots, n, vals, digit_of):
 def _orthogonal(perp, row):
     """A primitive integer basis of the vectors in span(perp) orthogonal to
     ``row``, or None when ``row`` is orthogonal to all of ``perp``."""
-    dots = [sum(x * y for x, y in zip(k, row)) for k in perp]
+    dots = [sum(map(mul, k, row)) for k in perp]
     p = next((i for i, d in enumerate(dots) if d), None)
     if p is None:
         return None

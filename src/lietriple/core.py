@@ -141,7 +141,7 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     on the sparse integer tensor.
     """
     n = t.dim
-    d, S = _tensor.integer(t._nz, 3)
+    d, S = _tensor.integer(t, 3)
     rng = range(n)
     for i in rng:
         for j in range(i + 1, n):

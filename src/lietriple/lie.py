@@ -165,7 +165,7 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
     of [e_q, e_c].  The residual is d^-2 times the integer sum."""
     m = g.dim
-    d, nz = _tensor.integer(g._nz, 2)
+    d, nz = _tensor.integer(g, 2)
     for i in range(m):
         for j in range(m):
             ij, nz_j = nz[i][j], nz[j]
@@ -226,7 +226,7 @@ def _killing_form(g: LieAlgebra) -> Matrix:
     The constants are scaled to integers by their least common denominator
     d, as in check_jacobi, and each entry is d^-2 times the integer sum."""
     m = g.dim
-    d, nz = _tensor.integer(g._nz, 2)
+    d, nz = _tensor.integer(g, 2)
     # by_lk[(l, k)]: the pairs (j, d·c_jl^k) of the nonzero constants
     by_lk = {}
     for j, nzj in enumerate(nz):

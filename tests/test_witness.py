@@ -271,6 +271,110 @@ def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
     assert {} in last_row_solves["systems"]
 
 
+@pytest.fixture
+def direct_systems(monkeypatch):
+    """Check each last-row system the kernel reads off its placed rows
+    against ``witness_reference.last_row_system``, which evaluates the
+    equations at 0 and at each unit vector: both reduce to the same echelon
+    rows, or neither has a solution.  The checked systems are recorded
+    here as (read, reduced)."""
+    checked = []
+    read = wpy._last_row_system
+
+    def compared(n, linear, pairs, rows, m_lhs, m_rhs):
+        got = read(n, linear, pairs, rows, m_lhs, m_rhs)
+        want = wpy._reduced_echelon(ref.last_row_system(n, linear, pairs, rows, m_lhs, m_rhs), n)
+        assert (None if got is None else wpy._reduced_echelon(got, n)) == want, (n, rows[: n - 1])
+        checked.append((got, want))
+        return got
+
+    monkeypatch.setattr(wpy, "_last_row_system", compared)
+    return checked
+
+
+def test_last_row_system_read_off_the_placed_rows(by_label, direct_systems):
+    """On every live prefix of the tied pairs, of the 4-dim cases, of
+    searches for dim3-V+ and for the abelian 3-dim system, and of seeded
+    changes of the 6-sphere, the system read off the placed rows reduces as
+    the evaluated one does.  Against dim3-V+ some read system has a row
+    without a coefficient and a nonzero constant, so no solution; between
+    abelian systems the system is empty."""
+    for pair in TIED_GROUPS:
+        for a, b in (pair, pair[::-1]):
+            search_witness(by_label[a].system, by_label[b].system, 4000)
+    a = sphere_system(4)
+    for b in (transform(a, Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]])), TripleSystem.abelian(4)):
+        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
+        wpy.stage_search(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs)
+    v, abelian = by_label["dim3-V+"].system, TripleSystem.abelian(3)
+    for a, b in ((v, v), (abelian, v), (abelian, abelian)):
+        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
+        wpy.stage_search(n, a_entries, b_flat, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)
+    # rows e6, e5, e4, e3, then two seeded rows: a hit after a few thousand
+    # candidates, its prefix live
+    rng = random.Random(6)
+    a = sphere_system(6)
+    hits = 0
+    for _ in range(4):
+        T = Matrix.from_rows([[0] * (5 - r) + [1] + [rng.choice((0, 1, -1)) * (r >= 4) for _ in range(r)] for r in range(6)])
+        hits += search_witness(a, transform(a, T), 20000) is not None
+    assert hits >= 2
+    ranks = {None if got is None else len(want) for got, want in direct_systems}
+    assert {None, 0, 1, 2, 3, 5} <= ranks
+
+
+def test_grid_memo_cold_and_warm_agree(by_label, monkeypatch):
+    """Every stage of the tied pairs, and two reorderings of the stage-1
+    values, gives the same (tested, digits) from an empty memo of the grid
+    geometry as from the memo those searches filled; the warm tied
+    searches compute no geometry."""
+    stages = []
+    kernel = wpy.stage_search
+    monkeypatch.setattr(wpy, "stage_search", lambda *args: stages.append(args) or kernel(*args))
+    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+    for pair in TIED_GROUPS:
+        for a, b in (pair, pair[::-1]):
+            search_witness(by_label[a].system, by_label[b].system, 20000)
+    # the same values in other orders: the memo is keyed by value rows
+    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    stages += [(n, a_entries, b_flat, vals, 0, 20000, m_lhs, m_rhs) for vals in ([0, -1, 1], [1, -1, 0])]
+    calls = []
+    orthogonal = wpy._orthogonal
+    monkeypatch.setattr(wpy, "_orthogonal", lambda *args: calls.append(None) or orthogonal(*args))
+    warm = [kernel(*args) for args in stages[:-2]]
+    assert not calls
+    warm += [kernel(*args) for args in stages[-2:]]
+    for args, got in zip(stages, warm):
+        monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+        assert kernel(*args) == got, (args[0], args[3:6])
+    assert calls
+
+
+def grid_entries(grid):
+    """The entries of a grid memo, counted off its tables."""
+    nodes = list(grid.roots.values())
+    entries = len(nodes) + len(grid.counts) + sum(map(len, grid.counts.values()))
+    while nodes:
+        node = nodes.pop()
+        entries += len(node.children)
+        nodes += [child for child in node.children.values() if child is not None]
+    return entries
+
+
+def test_grid_memo_stays_within_its_limit(by_label, monkeypatch):
+    """The changed 12-sphere search at 20000 meets more geometry than the
+    memo keeps (44,304 rows tested for independence); the memo fills to its
+    limit and no further, and the search still misses.  The next search
+    starts a new memo and keeps its geometry."""
+    grid = wpy._Grid()
+    monkeypatch.setattr(wpy, "_grid", grid)
+    a = sphere_system(12)
+    assert search_witness(a, transform(a, random_invertible(random.Random(1), 12, -1, 1, (1,))), 20000) is None
+    assert grid_entries(grid) == grid.size == wpy._Grid.LIMIT
+    assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
+    assert wpy._grid is not grid and 0 < grid_entries(wpy._grid) == wpy._grid.size < wpy._Grid.LIMIT
+
+
 def mirror_depths(n, a_entries, b_flat):
     """The kernel's depths with a sign change fixing the target b."""
     return wpy._mirror_depths(n, wpy._equations_by_row(n, a_entries, b_flat))
@@ -433,8 +537,9 @@ def test_mirror_needs_sign_paired_values(by_label):
 
 
 def test_mirror_work_guard(by_label, monkeypatch):
-    """The split-1b/split-1c miss at the default budget tests independence
-    of 217 rows; searching the mirrored subtrees too, it tested 767."""
+    """The split-1b/split-1c miss at the default budget, from an empty
+    memo of the grid geometry, tests independence of 217 rows; searching
+    the mirrored subtrees too, it tested 767."""
     calls = []
     orthogonal = wpy._orthogonal
 
@@ -443,14 +548,16 @@ def test_mirror_work_guard(by_label, monkeypatch):
         return orthogonal(*args)
 
     monkeypatch.setattr(wpy, "_orthogonal", counted)
+    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
     assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
     assert len(calls) <= 300
 
 
 def test_counted_subtree_work_guard(monkeypatch):
     """A miss against a seeded {0, ±1} change of the 6-sphere at budget
-    10**6 counts nearly every candidate in cut subtrees; mirroring inside
-    them, it tests independence of 1247 rows, and 2429 without."""
+    10**6 counts nearly every candidate in cut subtrees; from an empty
+    memo of the grid geometry, mirroring inside them, it tests
+    independence of 1247 rows, and 2429 without."""
     calls = []
     orthogonal = wpy._orthogonal
 
@@ -459,6 +566,7 @@ def test_counted_subtree_work_guard(monkeypatch):
         return orthogonal(*args)
 
     monkeypatch.setattr(wpy, "_orthogonal", counted)
+    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
     a = sphere_system(6)
     assert search_witness(a, transform(a, random_invertible(random.Random(1), 6, -1, 1, (1,))), 10**6) is None
     assert len(calls) <= 1500

@@ -5,6 +5,11 @@ tuple of a stage in lexicographic order, skips singular matrices without
 counting them, and checks every invertible candidate in full.  The tests
 compare the row-at-a-time kernel in ``lietriple._witness_py`` against it,
 call for call.
+
+``last_row_system`` is the kernel's earlier way to set up the linear
+system of its last row: evaluate every linear equation at v = 0 and at
+each unit vector.  The tests compare the kernel's direct read of the
+coefficients against it, prefix for prefix.
 """
 
 from __future__ import annotations
@@ -113,3 +118,36 @@ def _matches(n, a_entries, b_flat, T, m_lhs, m_rhs):
                     if lhs[l] * m_lhs != rhs * m_rhs:
                         return False
     return True
+
+
+def last_row_system(n, linear, pairs, rows, m_lhs, m_rhs):
+    """The linear equations ``linear`` on the last row v as integer rows
+    [coefficients of v | -constant], from rows[:n - 1].
+
+    Both sides' difference is affine in v, so it is evaluated in full at
+    v = 0, which gives the constants, and at each unit vector, which gives
+    the constants plus one column of coefficients.  ``pairs`` is the
+    source tensor grouped as [(a, b, [(c, l, value), ...]), ...]."""
+    rows = list(rows)
+    last = n - 1
+
+    def residuals():
+        out = []
+        for i, j, k, brow in linear:
+            Ti, Tj, Tk = rows[i], rows[j], rows[k]
+            lhs = [0] * n
+            for a, b, terms in pairs:
+                w = Ti[a] * Tj[b] - Ti[b] * Tj[a]
+                for c, l, val in terms:
+                    lhs[l] += w * Tk[c] * val
+            for l in range(n):
+                out.append(lhs[l] * m_lhs - m_rhs * sum(bv * rows[d][l] for d, bv in brow))
+        return out
+
+    rows[last] = (0,) * n
+    base = residuals()
+    columns = []
+    for c in range(n):
+        rows[last] = tuple(int(r == c) for r in range(n))
+        columns.append([x - y for x, y in zip(residuals(), base)])
+    return [[col[e] for col in columns] + [-b] for e, b in enumerate(base)]
