@@ -14,7 +14,7 @@ scaled once, whichever reader asks first.
 from dataclasses import fields
 from math import lcm
 
-from .exactla import ZERO, vec, vec_from_pairs, vec_nonzeros, zero_vec
+from .exactla import vec, vec_from_pairs, vec_nonzeros, zero_vec
 
 
 def _map(table, rank: int, fn) -> tuple:
@@ -114,11 +114,22 @@ def upper(nz, rank: int) -> list:
     return [(key, p) for key, p in _cells(halves, rank - 2) if p]
 
 
-def slot_rows(nz, rank: int, slots) -> list:
+def integer_cells(obj, rank: int):
+    """The nonzero cells of the upper half of ``integer``'s table, in key order, as dense int lists."""
+    n = len(obj._nz)
+    for _, p in upper(integer(obj, rank)[1], rank):
+        v = [0] * n
+        for l, x in p:
+            v[l] = x
+        yield v
+
+
+def slot_rows(obj, rank: int, slots) -> list:
     """For each slot in turn, the first (0) or the last (rank - 1), the
-    nonzero rows, in key order, of z -> the table with z in that slot: row
-    (key without the slot, l) holds at s the coordinate l of the cell whose
-    key has s in the slot."""
+    nonzero rows, in key order, of z -> the instance's table scaled by
+    ``integer`` with z in that slot: row (key without the slot, l) holds at
+    s the int coordinate l of the cell whose key has s in the slot."""
+    nz = integer(obj, rank)[1]
     n = len(nz)
     if rank == 2:
         nz = [(t,) for t in nz]  # read as rank 3 with a middle index of 0, which keeps the key order
@@ -129,7 +140,7 @@ def slot_rows(nz, rank: int, slots) -> list:
             for k, p in enumerate(tij):
                 for l, x in p:
                     if first is not None:
-                        first.setdefault((j, k, l), [ZERO] * n)[i] = x
+                        first.setdefault((j, k, l), [0] * n)[i] = x
                     if last is not None:
-                        last.setdefault((i, j, l), [ZERO] * n)[k] = x
+                        last.setdefault((i, j, l), [0] * n)[k] = x
     return [tuple(r) for slot in slots for _, r in sorted((last if slot else first).items())]

@@ -12,6 +12,11 @@ read only those.  ``_tensor`` owns the layout of ``c`` and ``_nz``: every
 system built here or by ``parse_lts`` comes from the pairs of the upper
 half through ``_tensor.build``, antisymmetric by construction.  Only
 ``TripleSystem(dim, c)`` reads the pairs off ``c`` and checks the tensor.
+
+Spans and kernels (the derived series, the centre, the ideal tests) run on
+the tensor scaled to integers by one least common denominator and on
+primitive integer basis rows: the same spans, with ``Fraction``s only in
+the returned subspaces.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from . import _tensor
 from .exactla import (
     Echelon,
     Matrix,
-    ONE,
     Subspace,
     ZERO,
     capped_span,
     inverse,
     kernel,
+    scaled_nonzeros,
     subspace_series,
     vec,
     vec_nonzeros,
@@ -63,6 +68,11 @@ class TripleSystem:
     @cached_property
     def _nz(self) -> tuple:
         return _tensor.nonzeros(self.c, 3)
+
+    @cached_property
+    def _derived(self) -> Subspace:
+        # (M, M, M), spanned by the nonzero products (e_i, e_j, e_k) with i < j
+        return capped_span(_tensor.integer_cells(self, 3), self.dim, self.dim)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> TripleSystem:
@@ -108,13 +118,14 @@ def triple_product(t: TripleSystem, x, y, z):
     x, y, z = vec(x), vec(y), vec(z)
     if len(x) != n or len(y) != n or len(z) != n:
         raise ValueError("dimension mismatch")
-    return _triple(t, vec_nonzeros(x), vec_nonzeros(y), vec_nonzeros(z))
+    return _triple(t._nz, vec_nonzeros(x), vec_nonzeros(y), vec_nonzeros(z), ZERO)
 
 
-def _triple(t: TripleSystem, xs, ys, zs):
-    """(x, y, z) from the nonzero pairs (index, entry) of x, y and z."""
-    out = [ZERO] * t.dim
-    nz = t._nz
+def _triple(nz, xs, ys, zs, zero):
+    """(x, y, z) on the table of pairs nz (``_nz``, or its ints from
+    ``_tensor.integer``) from the nonzero pairs (index, entry) of x, y and
+    z; the coordinates start at zero."""
+    out = [zero] * len(nz)
     for i, xi in xs:
         nzi = nz[i]
         for j, yj in ys:
@@ -191,32 +202,37 @@ def require_axioms(t: TripleSystem) -> None:
 
 
 def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
-    """Every (x, y, z) with x, y and z given by their nonzero pairs in xs, ys
-    and zs lies in d."""
+    """Every (x, y, z) with x, y and z given by their nonzero integer pairs in
+    xs, ys and zs lies in d."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     ech = Echelon(t.dim, d.vectors())
-    return not any(any(ech.reduce(_triple(t, x, y, z))) for x in xs for y in ys for z in zs)
+    S = _tensor.integer(t, 3)[1]
+    return not any(any(ech.reduce(_triple(S, x, y, z, 0))) for x in xs for y in ys for z in zs)
 
 
 def is_ideal(t: TripleSystem, d: Subspace) -> bool:
     """(D, M, M) contained in D; the other slots follow from the identities."""
-    units = [((j, ONE),) for j in range(t.dim)]
-    return _products_in(t, d, [vec_nonzeros(v) for v in d.vectors()], units, units)
+    units = [((j, 1),) for j in range(t.dim)]
+    return _products_in(t, d, [scaled_nonzeros(v)[1] for v in d.vectors()], units, units)
 
 
 def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
     """(D, D, D) contained in D."""
-    vs = [vec_nonzeros(v) for v in d.vectors()]
+    vs = [scaled_nonzeros(v)[1] for v in d.vectors()]
     return _products_in(t, d, vs, vs, vs)
 
 
 def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
-    """Span of (M, om, om): all (e_i, a, b) with a, b over the basis of om."""
+    """Span of (M, om, om): all (e_i, a, b) with a, b over the basis of om,
+    each taken as a positive multiple on the integer tensor and basis rows."""
     if om.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
-    vs = [vec_nonzeros(v) for v in om.vectors()]
-    products = (_triple(t, ((i, ONE),), a, b) for i in range(t.dim) for a in vs for b in vs)
+    if om.dim == t.dim:
+        return t._derived
+    S = _tensor.integer(t, 3)[1]
+    vs = [scaled_nonzeros(v)[1] for v in om.vectors()]
+    products = (_triple(S, ((i, 1),), a, b, 0) for i in range(t.dim) for a in vs for b in vs)
     # (M, om, om) lies in M
     return capped_span(products, t.dim, t.dim)
 
@@ -252,8 +268,8 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
 def lts_center(t: TripleSystem) -> Subspace:
     """{z : (z, x, y) = 0 and (x, y, z) = 0 for all basis x, y}."""
     # the rows of z -> (z, e_j, e_k), then those of z -> (e_i, e_j, z)
-    rows = _tensor.slot_rows(t._nz, 3, (0, 2))
-    return kernel(Matrix.from_rows(rows, t.dim))
+    rows = _tensor.slot_rows(t, 3, (0, 2))
+    return kernel(Matrix(len(rows), t.dim, tuple(rows)))
 
 
 def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:

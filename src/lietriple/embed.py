@@ -12,6 +12,8 @@ matrix of D_{e_i,e_j} has column k equal to c[i][j][k].  A D_{e_i,e_j} kept
 in the basis of h is its own basis vector; the h-coordinates of any other
 come from its entries at the echelon pivots of h and one inverse of an
 h_dim x h_dim matrix, computed only when some D_{e_i,e_j} was not kept.
+Both steps read the matrices scaled to integers by the tensor's least
+common denominator, which changes neither the span nor the h-coordinates.
 Each D_{p,q} is a derivation of the triple product, so
 
     [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _tensor
 from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
@@ -89,7 +92,8 @@ def _combination(terms, dim: int) -> list:
     for x, w in terms:
         if x:
             for a, y in w:
-                acc[a] += x * y
+                # Fraction first: int * Fraction takes the slower Fraction.__rmul__
+                acc[a] += y * x
     return acc
 
 
@@ -103,8 +107,13 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     n = t.dim
     c, nz = t.c, t._nz
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # D_{e_i,e_j} flattened column by column: column k is c[i][j][k]
-    flat = {(i, j): tuple(x for col in c[i][j] for x in col) for i, j in pairs}
+    # d·D_{e_i,e_j} in ints, flattened column by column: column k is d·c[i][j][k]
+    S = _tensor.integer(t, 3)[1]
+    flat = {ij: [0] * (n * n) for ij in pairs}
+    for (i, j), v in flat.items():
+        for k, p in enumerate(S[i][j]):
+            for l, x in p:
+                v[k * n + l] = x
     h = Echelon(n * n)
     chosen = [ij for ij in pairs if h.insert(flat[ij])]
     h_dim = len(chosen)

@@ -4,8 +4,13 @@ one elimination, ``Echelon``, whose reduced rows every other routine reads.
 Scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
 terms with positive denominator), so nothing here ever rounds; ``Echelon``
 eliminates fraction-free on primitive integer rows (cf. Bareiss, 1968).
-Every value is immutable after construction and every operation is a pure
-function; results may be freely shared between threads.
+Rows of ints go to it as they are, and ``kernel`` builds its basis in
+ints, so a caller that scales its rows to integers by one least common
+denominator (``scaled_nonzeros``) gets the same spans with no
+``Fraction`` arithmetic; ``Fraction``s are formed only in a returned
+``Subspace`` or ``Matrix``.  Every value is immutable after construction
+and every operation is a pure function; results may be freely shared
+between threads.
 """
 
 from __future__ import annotations
@@ -51,14 +56,18 @@ def vec_sub(a, b):
     return tuple(x - y if y else x for x, y in zip(a, b))
 
 
-def vec_neg(a):
-    """-a, keeping zero entries as they are (cheaper than negating them)."""
-    return tuple(-x if x else x for x in a)
-
-
 def vec_nonzeros(a) -> tuple:
     """The pairs (index, entry) of the nonzero entries of a, in index order."""
     return tuple([(i, x) for i, x in enumerate(a) if x])
+
+
+def scaled_nonzeros(v) -> tuple[int, list]:
+    """(s, pairs): the least common denominator s of v's entries, and the
+    pairs (index, s·entry) of the nonzero entries as ints; for a canonical
+    basis row, whose pivot entry is 1, these ints are primitive."""
+    nz = [(j, rat(x).as_integer_ratio()) for j, x in enumerate(v) if x]
+    s = lcm(*[d for _, (_, d) in nz])
+    return s, [(j, x * (s // d)) for j, (x, d) in nz]
 
 
 def vec_from_pairs(pairs, n: int) -> tuple[Fraction, ...]:
@@ -107,12 +116,6 @@ class Matrix:
 
     def transpose(self) -> Matrix:
         return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
-
-    def matvec(self, v):
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols) if v[j]), ZERO) for r in self.entries)
 
     def vecmat(self, v):
         """Row vector times matrix."""
@@ -205,11 +208,10 @@ class Echelon:
             raise ValueError("vector length does not match ambient dimension")
         if not _INT.issuperset(map(type, r)):
             # scaled to integers once, reading the nonzero entries only
-            nz = [(j, rat(x).as_integer_ratio()) for j, x in enumerate(r) if x]
-            s = lcm(*[d for _, (_, d) in nz])
+            s, nz = scaled_nonzeros(r)
             r = [0] * len(r)
-            for j, (x, d) in nz:
-                r[j] = x * (s // d)
+            for j, x in nz:
+                r[j] = x
         for p, row in zip(self.pivots, self.rows):
             c = r[p]  # other rows vanish at p, so r still holds s·v[p] here
             if c:
@@ -278,10 +280,6 @@ def subspace_series(start: Subspace, step) -> tuple[Subspace, ...]:
     return tuple(terms)
 
 
-def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, Matrix.zeros(0, n))
-
-
 def full_subspace(n: int) -> Subspace:
     return Subspace(n, Matrix.identity(n))
 
@@ -315,11 +313,6 @@ def subspace_contains(a: Subspace, v) -> bool:
     return not any(Echelon(a.ambient_dim, a.vectors()).reduce(v))
 
 
-def subspace_le(a: Subspace, b: Subspace) -> bool:
-    ech = Echelon(b.ambient_dim, b.vectors())
-    return not any(any(ech.reduce(v)) for v in a.vectors())
-
-
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank."""
     ech = Echelon(m.cols)
@@ -329,11 +322,14 @@ def kernel(m: Matrix) -> Subspace:
         ech.insert(r)
     basis_vecs = []
     for f in sorted(set(range(m.cols)) - set(ech.pivots)):
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for p, row in zip(ech.pivots, ech.rows):
-            v[p] = Fraction(-row[f], row[p])
-        basis_vecs.append(tuple(v))
+        # e_f - sum of (row[f] / row[p])·e_p over the rows, times the lcm s of those row[p]
+        terms = [(p, row[f], row[p]) for p, row in zip(ech.pivots, ech.rows) if row[f]]
+        s = lcm(*[a for _, _, a in terms])
+        v = [0] * m.cols
+        v[f] = s
+        for p, x, a in terms:
+            v[p] = -x * (s // a)
+        basis_vecs.append(v)
     return span(basis_vecs, m.cols)
 
 
@@ -360,7 +356,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise SingularMatrix("matrix is not square")
     n = m.rows
-    ech = Echelon(2 * n, [r + unit_vec(n, i) for i, r in enumerate(m.entries)])
+    ech = Echelon(2 * n, [r + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(m.entries)])
     if any(p >= n for p in ech.pivots):
         raise SingularMatrix("matrix is singular")
     return Matrix(n, n, tuple(row[n:] for row in ech.subspace().vectors()))

@@ -11,7 +11,9 @@ from the pairs of the upper half through ``_tensor.build``, antisymmetric
 by construction.  Only ``LieAlgebra(dim, f)`` reads the pairs off ``f`` and
 checks the table.  [G, G] is spanned once per algebra too: it is the
 second term of both series and the span whose Killing-orthogonal
-complement is the radical.
+complement is the radical.  Spans and kernels run on the brackets scaled
+to integers by one least common denominator d and on the Killing sums
+d²·K: the same spans, with ``Fraction``s only in the returned subspaces.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .exactla import (
     capped_span,
     full_subspace,
     kernel,
+    scaled_nonzeros,
     subspace_series,
     vec,
     vec_nonzeros,
@@ -61,15 +64,21 @@ class LieAlgebra:
         return _tensor.nonzeros(self.f, 2)
 
     @cached_property
-    def _killing(self) -> Matrix:
+    def _killing_sums(self) -> list:
         # kept on the instance: a fingerprint reads the Killing form through
         # both lie_radical and killing_signature
         return _killing_form(self)
 
     @cached_property
+    def _killing(self) -> Matrix:
+        dd = _tensor.integer(self, 2)[0] ** 2
+        rows = [[Fraction(x, dd) if x else ZERO for x in r] for r in self._killing_sums]
+        return Matrix.from_rows(rows, self.dim)
+
+    @cached_property
     def _derived(self) -> Subspace:
         # [G, G], spanned by the nonzero brackets [e_i, e_j] with i < j
-        return capped_span((self.f[i][j] for (i, j), _ in _tensor.upper(self._nz, 2)), self.dim, self.dim)
+        return capped_span(_tensor.integer_cells(self, 2), self.dim, self.dim)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> LieAlgebra:
@@ -141,13 +150,14 @@ def bracket(g: LieAlgebra, x, y):
     x, y = vec(x), vec(y)
     if len(x) != m or len(y) != m:
         raise ValueError("dimension mismatch")
-    return _bracket(g, vec_nonzeros(x), vec_nonzeros(y))
+    return _bracket(g._nz, vec_nonzeros(x), vec_nonzeros(y), ZERO)
 
 
-def _bracket(g: LieAlgebra, xs, ys):
-    """[x, y] from the nonzero pairs (i, x_i) and (j, y_j) of x and y."""
-    out = [ZERO] * g.dim
-    nz = g._nz
+def _bracket(nz, xs, ys, zero):
+    """[x, y] on the table of pairs nz (``_nz``, or its ints from
+    ``_tensor.integer``) from the nonzero pairs (i, x_i) and (j, y_j) of x
+    and y; the coordinates start at zero."""
+    out = [zero] * len(nz)
     for i, xi in xs:
         nzi = nz[i]
         for j, yj in ys:
@@ -184,35 +194,30 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
     return JacobiVerdict(True)
 
 
-def lie_derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    """Iterated [S, S] to stabilization, starting at the full algebra; the
-    first step is the algebra's own [G, G]."""
+def _series(g: LieAlgebra, pairs) -> tuple[Subspace, ...]:
+    """The series from G whose step spans the integer brackets of pairs(vs),
+    vs the primitive basis rows of the last term; G steps to its own [G, G]."""
+    nz = _tensor.integer(g, 2)[1]
 
     def step(s: Subspace) -> Subspace:
         if s.dim == g.dim:
             return g._derived
-        vs = [vec_nonzeros(v) for v in s.vectors()]
-        # antisymmetry: pairs with a <= b contribute nothing new
-        products = (_bracket(g, vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs)))
-        # [S, S] lies in S
-        return capped_span(products, g.dim, s.dim)
+        vs = [scaled_nonzeros(v)[1] for v in s.vectors()]
+        # each term lies in the one before
+        return capped_span((_bracket(nz, x, y, 0) for x, y in pairs(vs)), g.dim, s.dim)
 
     return subspace_series(full_subspace(g.dim), step)
+
+
+def lie_derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
+    """Iterated [S, S] to stabilization, starting at the full algebra."""
+    # antisymmetry: pairs with a <= b contribute nothing new
+    return _series(g, lambda vs: ((x, y) for a, x in enumerate(vs) for y in vs[a + 1 :]))
 
 
 def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    """Iterated [G, S] to stabilization, starting at the full algebra; the
-    first step is the algebra's own [G, G]."""
-
-    def step(s: Subspace) -> Subspace:
-        if s.dim == g.dim:
-            return g._derived
-        vs = [vec_nonzeros(v) for v in s.vectors()]
-        products = (_bracket(g, ((i, ONE),), b) for i in range(g.dim) for b in vs)
-        # [G, S] lies in S
-        return capped_span(products, g.dim, s.dim)
-
-    return subspace_series(full_subspace(g.dim), step)
+    """Iterated [G, S] to stabilization, starting at the full algebra."""
+    return _series(g, lambda vs: ((((i, 1),), y) for i in range(g.dim) for y in vs))
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
@@ -220,11 +225,10 @@ def killing_form(g: LieAlgebra) -> Matrix:
     return g._killing
 
 
-def _killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = sum of c_ik^l·c_jl^k, over matched nonzero constants only.
-
-    The constants are scaled to integers by their least common denominator
-    d, as in check_jacobi, and each entry is d^-2 times the integer sum."""
+def _killing_form(g: LieAlgebra) -> list:
+    """d²·K as rows of ints: K[i][j] = sum of c_ik^l·c_jl^k, over matched
+    nonzero constants only, with the constants scaled to integers by their
+    least common denominator d, as in check_jacobi."""
     m = g.dim
     d, nz = _tensor.integer(g, 2)
     # by_lk[(l, k)]: the pairs (j, d·c_jl^k) of the nonzero constants
@@ -244,7 +248,7 @@ def _killing_form(g: LieAlgebra) -> Matrix:
         # K is symmetric: rows below i read their entries left of the diagonal from here
         for j in range(i + 1, m):
             K[j][i] = row[j]
-    return Matrix.from_rows([[Fraction(x, d * d) if x else ZERO for x in r] for r in K], m)
+    return K
 
 
 def killing_signature(g: LieAlgebra) -> KillingSignature:
@@ -292,21 +296,23 @@ def lie_radical(g: LieAlgebra) -> Subspace:
     derived = g._derived
     if derived.is_zero():
         return full_subspace(m)
-    # the rows K·d, summed over the nonzero entries of d and of K
-    K = [vec_nonzeros(r) for r in killing_form(g).entries]
+    # the rows K·d, summed over the nonzero entries of d and of K, as positive
+    # multiples in ints: the sums d²·K on the primitive basis rows of [g, g]
+    K = [vec_nonzeros(r) for r in g._killing_sums]
     rows = []
     for d in derived.vectors():
-        row = [ZERO] * m
-        for i, x in vec_nonzeros(d):
+        row = [0] * m
+        for i, x in scaled_nonzeros(d)[1]:
             for j, y in K[i]:
                 row[j] += x * y
         rows.append(tuple(row))
-    return kernel(Matrix.from_rows(rows))
+    return kernel(Matrix(len(rows), m, tuple(rows)))
 
 
 def lie_center(g: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}."""
-    return kernel(Matrix.from_rows(_tensor.slot_rows(g._nz, 2, (0,)), g.dim))
+    rows = _tensor.slot_rows(g, 2, (0,))
+    return kernel(Matrix(len(rows), g.dim, tuple(rows)))
 
 
 def check_grading(g: LieAlgebra, gr: Grading) -> GradingVerdict:
@@ -342,7 +348,7 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
             if not inner:
                 continue
             for k in range(n):
-                double = _bracket(g, inner, ((minus[k], ONE),))
+                double = _bracket(g._nz, inner, ((minus[k], ONE),), ZERO)
                 # parity guarantees the plus-part of the double bracket vanishes
                 entries[(a, b, k)] = tuple(double[minus[l]] for l in range(n))
     return TripleSystem.from_entries(n, entries)

@@ -28,9 +28,9 @@ from lietriple.exactla import (
     subspace_intersect,
     unit_vec,
     vec_is_zero,
-    vec_neg,
 )
 from lietriple.lie import Grading, LieAlgebra, lie_radical
+from util import vec_neg
 
 
 def _flat(m: Matrix):

@@ -4,14 +4,16 @@ the nonzero brackets and products of each value.
 Each routine visits every coordinate of every bracket or product it reads:
 ``bracket`` and ``triple_product`` loop over all coordinates of the
 structure vectors, ``_series`` brackets full basis vectors (unit vectors
-for the lower central series), ``lie_radical`` forms K·d with the dense
-``Matrix.vecmat``, and ``lie_center`` and ``lts_center`` hand every row,
-zero or not, to the kernel; ``check_grading`` reads every coordinate of
-every bracket.  ``check_axioms`` scans all n^3 cyclic and all n^5
-derivation instances, not one instance per antisymmetry class.
-``killing_signature`` is the congruence reduction that swaps each pivot
-into place and sweeps whole rows and columns of the form after it.  The
-tests compare the library's routines against these, result for result.
+for the lower central series), ``derived_series`` takes the rational
+products of ``derived_subspace`` at every step, ``lie_radical`` forms K·d
+with the dense ``Matrix.vecmat``, and ``lie_center`` and ``lts_center``
+hand every row, zero or not, to the kernel; ``check_grading`` reads
+every coordinate of every bracket.  ``check_axioms`` scans all n^3 cyclic
+and all n^5 derivation instances, not one instance per antisymmetry
+class.  ``killing_signature`` is the congruence reduction that swaps each
+pivot into place and sweeps whole rows and columns of the form after it.
+The tests compare the library's routines against these, result for
+result.
 """
 
 from __future__ import annotations
@@ -221,6 +223,17 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
             for b in om.vectors():
                 products.append(triple_product(t, unit_vec(t.dim, i), a, b))
     return span(products, t.dim)
+
+
+def derived_series(t: TripleSystem, om: Subspace) -> tuple[Subspace, ...]:
+    """om, (M, om, om), ... up to the first zero or repeated term, each step
+    by the dense ``derived_subspace``."""
+    terms = [om]
+    while not terms[-1].is_zero():
+        terms.append(derived_subspace(t, terms[-1]))
+        if terms[-1] == terms[-2]:
+            break
+    return tuple(terms)
 
 
 def lts_center(t: TripleSystem) -> Subspace:

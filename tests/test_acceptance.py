@@ -37,11 +37,11 @@ from lietriple.core import (
     transform,
 )
 from lietriple.embed import lts_radical, standard_embedding, is_canonical
-from lietriple.exactla import Matrix, full_subspace, span, zero_subspace
+from lietriple.exactla import Matrix, full_subspace, span
 from lietriple.formats import parse_lts, serialize_lts
 from lietriple.lie import killing_form, killing_signature, lie_derived_series, lie_to_lts
 from lietriple.witness import search_witness
-from util import random_invertible
+from util import random_invertible, zero_subspace
 
 DIM3_LABELS = [
     "dim3-I",

@@ -7,7 +7,7 @@ import pytest
 from lietriple.catalog import from_operators
 from lietriple.core import TripleSystem, derived_subspace, is_ideal, transform
 from lietriple.embed import inner_derivation
-from lietriple.exactla import Matrix, full_subspace
+from lietriple.exactla import Matrix, full_subspace, solve
 from lietriple.formats import serialize_lie
 from lietriple.lie import Grading, LieAlgebra, check_grading
 from lietriple.witness import search_witness
@@ -39,7 +39,7 @@ ZERO2 = Matrix.zeros(2, 3)
         (lambda: check_grading(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: serialize_lie(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: Matrix.from_rows([]), ValueError, "column count required for a matrix with no rows"),
-        (lambda: ZERO2.matvec((1, 0)), ValueError, "dimension mismatch"),
+        (lambda: solve(ZERO2, (1, 0, 0)), ValueError, "dimension mismatch"),
         (lambda: ZERO2.vecmat((1, 0, 0)), ValueError, "dimension mismatch"),
         (lambda: ZERO2 * I2, ValueError, "dimension mismatch"),
         (lambda: I2.sub(ZERO2), ValueError, "dimension mismatch"),

@@ -27,10 +27,9 @@ from lietriple.exactla import (
     full_subspace,
     span,
     unit_vec,
-    zero_subspace,
 )
 import invariants_reference as ref
-from util import random_invertible, random_rational, sphere_system
+from util import random_invertible, random_rational, sphere_system, zero_subspace
 
 E1, E2 = (1, 0), (0, 1)
 

@@ -24,7 +24,6 @@ from lietriple.exactla import (
     kernel,
     span,
     unit_vec,
-    zero_subspace,
 )
 from lietriple.lie import (
     Grading,
@@ -38,7 +37,7 @@ from lietriple.lie import (
 from lietriple.classify import fingerprint
 from lietriple.core import derived_series, is_ideal
 from lietriple.formats import serialize_lie
-from util import random_invertible, sphere_system
+from util import random_invertible, sphere_system, zero_subspace
 
 GOLDEN = Path(__file__).parent / "golden"
 

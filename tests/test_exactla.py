@@ -15,11 +15,9 @@ from lietriple.exactla import (
     span,
     subspace_contains,
     subspace_intersect,
-    subspace_le,
     subspace_sum,
-    zero_subspace,
 )
-from util import random_invertible, random_matrix, random_rational
+from util import matvec, random_invertible, random_matrix, random_rational, subspace_le, zero_subspace
 
 
 def rows(m):
@@ -116,7 +114,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         for v in kernel(m).vectors():
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in matvec(m, v))
 
 
 def test_inverse_round_trip_and_singular():
@@ -158,7 +156,7 @@ def test_kernel_on_tall_wide_rank_deficient_and_zero_row_matrices():
             k = kernel(m)
             assert k.dim == m.cols - _rank(m)
             for v in k.vectors():
-                assert not any(m.matvec(v))
+                assert not any(matvec(m, v))
 
 
 def test_solve_on_rank_deficient_wide_systems():
@@ -170,9 +168,9 @@ def test_solve_on_rank_deficient_wide_systems():
             _rank(Matrix.from_rows([r[:j] for r in m.entries], j)) for j in range(cols + 1)
         ]
         non_pivot = [j for j in range(cols) if prefix_ranks[j + 1] == prefix_ranks[j]]
-        b = m.matvec([random_rational(rng) for _ in range(cols)])
+        b = matvec(m, [random_rational(rng) for _ in range(cols)])
         x = solve(m, b)
-        assert m.matvec(x) == b
+        assert matvec(m, x) == b
         assert all(x[j] == 0 for j in non_pivot)
         # rank < rows: y·m = 0 for some y != 0, and y·(b + y) = y·y != 0
         y = kernel(m.transpose()).vectors()[0]
@@ -235,7 +233,7 @@ def test_echelon_agrees_with_span_and_solve():
         basis = Matrix.from_rows(kept).transpose()
         for _ in range(3):
             coefs = [random_rational(rng) for _ in kept]
-            v = basis.matvec(coefs)
+            v = matvec(basis, coefs)
             assert solve(basis, v) == tuple(coefs)
             assert not any(ech.reduce(v))
 

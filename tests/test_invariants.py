@@ -3,10 +3,12 @@ with the dense reference scans of ``invariants_reference``."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import embed_reference
 import invariants_reference as ref
 from lietriple import core, exactla, lie
 from lietriple.classify import fingerprint
@@ -20,7 +22,7 @@ from lietriple.core import (
     transform,
     triple_product,
 )
-from lietriple.embed import standard_embedding
+from lietriple.embed import lts_radical, standard_embedding
 from lietriple.exactla import Echelon, Matrix, full_subspace, inverse, span
 from lietriple.formats import parse_lie, parse_lts, serialize_lie, serialize_lts
 from lietriple.lie import (
@@ -56,6 +58,10 @@ def hand_built_algebra():
     return g
 
 
+# pairwise coprime: two primes below 10^6, and 10^6 = 2^6·5^6
+LARGE_DENOMINATORS = (1, 999_979, 999_983, 10**6)
+
+
 def systems(entries):
     rng = random.Random(20261019)
     out = [e.system for e in entries]
@@ -67,6 +73,11 @@ def systems(entries):
     out += [direct_sum(a, b) for a, b in zip(base[:3], base[-3:])]
     out += [quotient(t, s) for t in base for s in derived_series(t, full_subspace(t.dim)).terms if 0 < s.dim < t.dim]
     out += [lie_to_lts(e.algebra, e.grading) for e in map(standard_embedding, changed)]
+    # changes by matrices with large pairwise coprime denominators: the
+    # tables' least common denominators and the primitive basis rows run to
+    # dozens of digits
+    spheres = [sphere_system(k) for k in (3, 4)]
+    out += [transform(t, random_invertible(rng, t.dim, -9, 9, LARGE_DENOMINATORS)) for t in base + spheres]
     return out
 
 
@@ -252,3 +263,75 @@ def test_fingerprint_spans_the_derived_algebra_once(monkeypatch, by_label):
         assert fp.h_dim > 0
         # [G, G]: the second term of both series and the span the radical is orthogonal to
         assert caps.count(fp.g_dim) == 1, t
+
+
+def test_derived_series_of_proper_ideals_matches_dense_reference(entries):
+    # a proper ideal takes the step (M, om, om) on its own primitive basis
+    # rows, not on the table's cells; the radical, where it is proper, is an
+    # ideal that need not be a term of the series
+    steps = 0
+    for t in systems(entries):
+        n = t.dim
+        terms = derived_series(t, full_subspace(n)).terms
+        for om in [s for s in (*terms, lts_radical(t)) if 0 < s.dim < n]:
+            series = derived_series(t, om)
+            assert series.terms == ref.derived_series(t, om), t
+            steps += series.dims[1] > 0
+    assert steps >= 30
+
+
+def test_standard_embedding_with_rejected_pairs_matches_reference(entries):
+    # some D_{e_i,e_j} is not kept, so the h-coordinates go through Q⁻¹ on the
+    # integer flats; the reference solves on the rational ones
+    large = 0
+    for t in systems(entries):
+        got = standard_embedding(t)
+        if got.h_dim == t.dim * (t.dim - 1) // 2:
+            continue
+        want = embed_reference.standard_embedding(t)
+        assert serialize_lie(got.algebra, got.grading) == serialize_lie(want.algebra, want.grading), t
+        assert got.h_basis == want.h_basis and got.h_dim == want.h_dim, t
+        assert got.algebra == want.algebra, t
+        denominators = [x.denominator for ci in t.c for cij in ci for v in cij for x in v]
+        large += max(denominators, default=1) >= 999_979
+    assert large >= 10
+
+
+FRACTION_ARITHMETIC = frozenset({"_add", "_sub", "_mul", "_div"})
+
+
+def fraction_arithmetic(call):
+    """The names of the Fraction operators that call() runs; forming a
+    Fraction, comparing one or reading its parts is not counted."""
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in FRACTION_ARITHMETIC:
+            if code.co_filename.endswith("fractions.py"):
+                seen.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
+    changed = transform(by_label["dim3-III+"].system, random_invertible(random.Random(23), 3))
+    for t in (sphere_system(7), changed):
+        g = standard_embedding(t).algebra
+        # the probe sees the arithmetic it is for
+        ones = (Fraction(1),) * t.dim
+        assert fraction_arithmetic(lambda: triple_product(t, ones, ones, ones))
+        for call in (
+            lambda: derived_series(t, full_subspace(t.dim)),
+            lambda: lts_center(t),
+            lambda: lie_center(g),
+            lambda: lie_derived_series(g),
+            lambda: lower_central_series(g),
+            lambda: lie_radical(g),
+        ):
+            assert fraction_arithmetic(call) == [], t

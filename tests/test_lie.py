@@ -6,7 +6,7 @@ import pytest
 
 from lietriple.core import lts_center, transform
 from lietriple.embed import standard_embedding
-from lietriple.exactla import Matrix, full_subspace, kernel, span, subspace_le, zero_subspace
+from lietriple.exactla import Matrix, full_subspace, kernel, span
 from lietriple.lie import (
     Grading,
     InvalidGrading,
@@ -23,7 +23,7 @@ from lietriple.lie import (
     lie_to_lts,
     lower_central_series,
 )
-from util import random_invertible, sphere_system
+from util import random_invertible, sphere_system, subspace_le, zero_subspace
 
 
 def emb(by_label, label):

@@ -1,9 +1,31 @@
-"""Shared helpers: deterministic random rationals, vectors, matrices."""
+"""Shared helpers: deterministic random rationals, vectors, matrices, and
+the small vector, matrix and subspace operations only the tests use."""
 
 from fractions import Fraction
 
 from lietriple.core import TripleSystem
-from lietriple.exactla import Echelon, Matrix
+from lietriple.exactla import ZERO, Echelon, Matrix, Subspace
+
+
+def vec_neg(a):
+    """-a, keeping zero entries as they are (cheaper than negating them)."""
+    return tuple(-x if x else x for x in a)
+
+
+def matvec(m: Matrix, v):
+    """Matrix times column vector."""
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum((r[j] * v[j] for j in range(m.cols) if v[j]), ZERO) for r in m.entries)
+
+
+def subspace_le(a: Subspace, b: Subspace) -> bool:
+    ech = Echelon(b.ambient_dim, b.vectors())
+    return not any(any(ech.reduce(v)) for v in a.vectors())
+
+
+def zero_subspace(n: int) -> Subspace:
+    return Subspace(n, Matrix.zeros(0, n))
 
 
 def random_rational(rng, lo=-3, hi=3, dens=(1, 2)):
