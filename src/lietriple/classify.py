@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .core import TripleSystem, derived_series, lts_center, transform
+from .core import TripleSystem, derived_series, lts_center, require_axioms, transform
 from .embed import decompose, standard_embedding
 from .exactla import Matrix, full_subspace
 from .lie import KillingSignature, killing_signature, lie_derived_series, lower_central_series
@@ -55,20 +55,27 @@ class IsoResult:
     separator: str | None = None
 
 
+def _m_fields(t: TripleSystem) -> tuple:
+    """dim_m, m_derived_dims and m_center_dim, the leading fields, which are
+    read off M alone; kept on the instance, as isomorphic compares them
+    before it asks for the fingerprints."""
+    fields = vars(t).get("_m_fields")
+    if fields is None:
+        series = derived_series(t, full_subspace(t.dim))
+        fields = vars(t)["_m_fields"] = (t.dim, series.dims, lts_center(t).dim)
+    return fields
+
+
 def fingerprint(t: TripleSystem) -> Fingerprint:
     """All invariants, computed exactly from one standard embedding."""
-    # standard_embedding verifies the axioms (raising InvalidLTS), so no
-    # separate validity pass is needed here
+    require_axioms(t)  # raises InvalidLTS before any invariant is computed
+    dim_m, m_derived_dims, center_dim = _m_fields(t)
     emb = standard_embedding(t)
     g = emb.algebra
-    series = derived_series(t, full_subspace(t.dim))
     dec = decompose(emb)
-    # h acts faithfully on M, so no nonzero element of h is central, and the
-    # centre of G is graded: Z(G) = Z(M)
-    center_dim = lts_center(t).dim
     return Fingerprint(
-        dim_m=t.dim,
-        m_derived_dims=series.dims,
+        dim_m=dim_m,
+        m_derived_dims=m_derived_dims,
         m_center_dim=center_dim,
         lts_radical_dim=dec.m_prime.dim,
         h_dim=emb.h_dim,
@@ -77,6 +84,8 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
         g_lcs_dims=tuple(s.dim for s in lower_central_series(g)),
         g_killing=killing_signature(g),
         g_radical_dim=dec.r.dim,
+        # h acts faithfully on M, so no nonzero element of h is central, and
+        # the centre of G is graded: Z(G) = Z(M)
         g_center_dim=center_dim,
         # is_canonical would rank the rows [e_p, e_i] of the h basis: they are the
         # D_{e_p,e_q} that standard_embedding kept for raising the rank, so the
@@ -110,12 +119,17 @@ def _witness(a: TripleSystem, b: TripleSystem, budget: int) -> IsoResult:
 def isomorphic(a: TripleSystem, b: TripleSystem, budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
     """Three-valued isomorphism test.
 
-    Both systems are validated (a first) by their fingerprints' standard
-    embeddings.  Distinct fingerprints give a certified negative with the
-    separating field named.  Otherwise a deterministic search for a
+    Both systems are validated, a first.  Distinct fingerprints give a
+    certified negative with the separating field named; the fields read
+    off M alone are compared first, and the standard embeddings are built
+    only when those tie.  Otherwise a deterministic search for a
     basis-change witness runs up to ``budget`` invertible candidates.
     """
-    sep = first_separator(fingerprint(a), fingerprint(b))
+    require_axioms(a)
+    require_axioms(b)
+    sep = next((name for name, x, y in zip(FINGERPRINT_FIELDS, _m_fields(a), _m_fields(b)) if x != y), None)
+    if sep is None:
+        sep = first_separator(fingerprint(a), fingerprint(b))
     if sep is not None:
         return IsoResult("non_isomorphic", separator=sep)
     return _witness(a, b, budget)

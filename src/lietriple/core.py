@@ -14,9 +14,10 @@ half through ``_tensor.build``, antisymmetric by construction.  Only
 ``TripleSystem(dim, c)`` reads the pairs off ``c`` and checks the tensor.
 
 Spans and kernels (the derived series, the centre, the ideal tests) run on
-the tensor scaled to integers by one least common denominator and on
-primitive integer basis rows: the same spans, with ``Fraction``s only in
-the returned subspaces.
+the tensor scaled to integers by one least common denominator and on the
+primitive integer basis rows that each subspace keeps: the same spans,
+with ``Fraction``s only in the returned subspaces, formed when their bases
+are read.  Each system keeps its axiom verdict, so it is checked once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .exactla import (
     capped_span,
     inverse,
     kernel,
-    scaled_nonzeros,
     subspace_series,
     vec,
     vec_nonzeros,
@@ -73,6 +73,12 @@ class TripleSystem:
     def _derived(self) -> Subspace:
         # (M, M, M), spanned by the nonzero products (e_i, e_j, e_k) with i < j
         return capped_span(_tensor.integer_cells(self, 3), self.dim, self.dim)
+
+    @cached_property
+    def _verdict(self) -> AxiomVerdict:
+        # kept on the instance, as the table is immutable: a system that
+        # several steps require to be valid is checked once
+        return check_axioms(self)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> TripleSystem:
@@ -195,8 +201,9 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
 
 
 def require_axioms(t: TripleSystem) -> None:
-    """Raise InvalidLTS naming the first violated identity."""
-    verdict = check_axioms(t)
+    """Raise InvalidLTS naming the first violated identity; each system is
+    checked once, and its verdict kept."""
+    verdict = t._verdict
     if not verdict:
         raise InvalidLTS(f"{verdict.kind} identity violated at {verdict.indices}")
 
@@ -206,20 +213,20 @@ def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
     xs, ys and zs lies in d."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
-    ech = Echelon(t.dim, d.vectors())
+    ech = Echelon(t.dim, d._integer_rows())
     S = _tensor.integer(t, 3)[1]
-    return not any(any(ech.reduce(_triple(S, x, y, z, 0))) for x in xs for y in ys for z in zs)
+    return not any(any(ech._reduce(_triple(S, x, y, z, 0))[0]) for x in xs for y in ys for z in zs)
 
 
 def is_ideal(t: TripleSystem, d: Subspace) -> bool:
     """(D, M, M) contained in D; the other slots follow from the identities."""
     units = [((j, 1),) for j in range(t.dim)]
-    return _products_in(t, d, [scaled_nonzeros(v)[1] for v in d.vectors()], units, units)
+    return _products_in(t, d, [vec_nonzeros(r) for r in d._integer_rows()], units, units)
 
 
 def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
     """(D, D, D) contained in D."""
-    vs = [scaled_nonzeros(v)[1] for v in d.vectors()]
+    vs = [vec_nonzeros(r) for r in d._integer_rows()]
     return _products_in(t, d, vs, vs, vs)
 
 
@@ -231,7 +238,7 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     if om.dim == t.dim:
         return t._derived
     S = _tensor.integer(t, 3)[1]
-    vs = [scaled_nonzeros(v)[1] for v in om.vectors()]
+    vs = [vec_nonzeros(r) for r in om._integer_rows()]
     products = (_triple(S, ((i, 1),), a, b, 0) for i in range(t.dim) for a in vs for b in vs)
     # (M, om, om) lies in M
     return capped_span(products, t.dim, t.dim)
@@ -276,7 +283,7 @@ def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
     """Quotient triple system by an ideal, on the non-pivot standard coordinates."""
     if not is_ideal(t, om):
         raise NotAnIdeal("quotient requires an ideal")
-    ech = Echelon(t.dim, om.vectors())
+    ech = Echelon(t.dim, om._integer_rows())
     complement = [j for j in range(t.dim) if j not in ech.pivots]
     q = len(complement)
     entries = {}

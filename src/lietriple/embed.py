@@ -18,9 +18,14 @@ Each D_{p,q} is a derivation of the triple product, so
 
     [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
 
-and each bracket [A, B] of h is a combination of those coordinates.  The
-identity needs valid axioms, which is why the axioms are checked before
-anything else is built.
+and each bracket [A, B] of h is a combination of those coordinates,
+summed over their nonzero entries only.  The identity needs valid
+axioms, which is why the axioms are checked before anything else is
+built.
+
+The radical of G and its parts in M and in h are kernels of one matrix:
+the rows of K·[G, G], reduced once per algebra, and their M- and
+h-column blocks (see ``decompose``).
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from .exactla import (
     Matrix,
     ONE,
     Subspace,
-    ZERO,
     inverse,
-    span,
+    kernel,
     unit_vec,
     vec,
     vec_nonzeros,
@@ -86,15 +90,17 @@ def inner_derivation(t: TripleSystem, x, y) -> Matrix:
     return Matrix.from_rows(cols, n).transpose()
 
 
-def _combination(terms, dim: int) -> list:
-    """The sum of x·w over the pairs (x, w), each w given by its nonzero pairs."""
-    acc = [ZERO] * dim
+def _combination(terms) -> tuple:
+    """The nonzero pairs (a, z), a increasing, of the sum of x·w over the
+    pairs (x, w), each w given by its nonzero pairs."""
+    acc = {}
     for x, w in terms:
         if x:
             for a, y in w:
                 # Fraction first: int * Fraction takes the slower Fraction.__rmul__
-                acc[a] += y * x
-    return acc
+                z = y * x
+                acc[a] = acc[a] + z if a in acc else z
+    return tuple([(a, z) for a, z in sorted(acc.items()) if z])
 
 
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
@@ -132,7 +138,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     for i, j in pairs:
         a = index.get((i, j))
         if a is None:
-            K[i][j] = vec_nonzeros(_combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv), h_dim))
+            K[i][j] = _combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv))
         else:
             K[i][j] = ((a, ONE),)
         K[j][i] = tuple([(d, -x) for d, x in K[i][j]])
@@ -148,7 +154,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
             u, v = chosen[b]
             # [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)}
             terms = [(x, K[l][v]) for l, x in npq[u]] + [(x, K[u][l]) for l, x in npq[v]]
-            acc = vec_nonzeros(_combination(terms, h_dim))
+            acc = _combination(terms)
             if acc:
                 brackets[(n + a, n + b)] = tuple([(n + d, x) for d, x in acc])
     algebra = LieAlgebra._from_pairs(n + h_dim, brackets)
@@ -176,16 +182,20 @@ def is_canonical(e: StandardEmbedding) -> bool:
 def decompose(e: StandardEmbedding) -> Decomposition:
     """Radical of the enveloping algebra split into its M and h parts.
 
-    The parts are the projections of the radical's basis onto the M and
-    the h coordinates: the radical is invariant under the grading
-    involution, so it is the sum of its parts in M and in h.
+    The radical r is the kernel of the rows R of K·[G, G], and (x, 0) lies
+    in r exactly when R's M-columns map x to zero: r ∩ M and r ∩ h are the
+    kernels of R's M-columns and h-columns.  The radical is invariant under
+    the grading involution, so it is the sum of these parts, and they are
+    its projections to M and to h.  The Killing form pairs M only with M
+    and h only with h, so each row of R lies in one block, and its column
+    blocks are already reduced.
     """
-    r = lie_radical(e.algebra)
+    g = e.algebra
+    r = lie_radical(g)
     n = e.source.dim
-    # r lies in π_M(r) + π_h(r), with equality exactly when r is graded;
-    # then the projections are r ∩ M and r ∩ h
-    m_prime = span([v[:n] for v in r.vectors()], n)
-    h_prime = span([v[n:] for v in r.vectors()], e.h_dim)
+    R = g._killing_image
+    m_prime = kernel(Matrix(len(R), n, tuple([row[:n] for row in R])))
+    h_prime = kernel(Matrix(len(R), e.h_dim, tuple([row[n:] for row in R])))
     if m_prime.dim + h_prime.dim != r.dim:
         raise AssertionError("radical is not graded by the involution")
     return Decomposition(r, m_prime, h_prime)

@@ -7,10 +7,14 @@ eliminates fraction-free on primitive integer rows (cf. Bareiss, 1968).
 Rows of ints go to it as they are, and ``kernel`` builds its basis in
 ints, so a caller that scales its rows to integers by one least common
 denominator (``scaled_nonzeros``) gets the same spans with no
-``Fraction`` arithmetic; ``Fraction``s are formed only in a returned
-``Subspace`` or ``Matrix``.  Every value is immutable after construction
-and every operation is a pure function; results may be freely shared
-between threads.
+``Fraction`` arithmetic.  A ``Subspace`` from elimination keeps its
+primitive integer rows and knows its dimension; its ``Fraction`` basis,
+and a kernel's basis vectors, are formed only when they are read, and a
+routine that feeds one span into the next reads the integer rows.  So a
+caller that reads only dimensions forms no ``Fraction`` at all.  Every
+value is immutable after construction, apart from the basis a subspace
+forms once when first read, and every operation is a pure function;
+results may be freely shared between threads.
 """
 
 from __future__ import annotations
@@ -156,27 +160,92 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix(m.rows, m.cols, basis.entries + zero_rows), basis.rows
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of rational n-space in canonical (RREF basis) form.
 
-    Equality of subspaces is literal equality of the canonical data, so
-    reduced values compare in O(1).  The zero subspace keeps its ambient
-    dimension with an empty basis.
+    Equality and hashing read the canonical basis, so two values are equal
+    exactly when they are the same subspace.  The zero subspace keeps its
+    ambient dimension with an empty basis.
+
+    A subspace that elimination returns (``Echelon.subspace``, ``span``,
+    ``kernel``, ``full_subspace``) knows its dimension at once and keeps the
+    primitive integer rows of its basis; the ``Fraction`` basis, and a
+    kernel's basis vectors, are formed only when ``basis``, ``vectors()``,
+    equality, hashing or ``repr`` reads them.  A routine that only feeds
+    the basis to a further span reads ``_integer_rows()`` instead.
     """
 
-    ambient_dim: int
-    basis: Matrix
+    __slots__ = ("ambient_dim", "dim", "_basis", "_rows")
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        self.ambient_dim = ambient_dim
+        self.dim = basis.rows
+        self._basis = basis
+        self._rows = None
 
     @property
-    def dim(self) -> int:
-        return self.basis.rows
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = _canonical_basis(self._integer_rows(), self.ambient_dim)
+        return self._basis
+
+    def _integer_rows(self) -> tuple:
+        """The basis rows scaled to primitive integers, as tuples of ints;
+        the first nonzero entry of each, at its pivot, is positive."""
+        if self._rows is None:
+            self._rows = span(self._basis.entries, self.ambient_dim)._integer_rows()
+        return self._rows
 
     def is_zero(self) -> bool:
-        return self.basis.rows == 0
+        return self.dim == 0
 
     def vectors(self):
         return self.basis.entries
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.ambient_dim, self.dim) == (other.ambient_dim, other.dim) and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+
+    def __reduce__(self):
+        # a copy or a pickle holds the basis, not the elimination it came from
+        return Subspace, (self.ambient_dim, self.basis)
+
+
+class _Eliminated(Subspace):
+    """A subspace read off an elimination: its dimension is known, and
+    ``build()`` forms its primitive integer rows, in pivot order, when they
+    are first read."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, ambient_dim: int, dim: int, build):
+        self.ambient_dim = ambient_dim
+        self.dim = dim
+        self._basis = self._rows = None
+        self._build = build
+
+    def _integer_rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._build()
+            self._build = None
+        return self._rows
+
+
+def _divided(row, a) -> tuple[Fraction, ...]:
+    """The ints of row divided by a, as Fractions."""
+    return tuple([Fraction(x, a) if x else ZERO for x in row])
+
+
+def _canonical_basis(rows, n: int) -> Matrix:
+    """The RREF basis of primitive integer echelon rows: each divided by its pivot entry."""
+    return Matrix(len(rows), n, tuple([_divided(row, next(filter(None, row))) for row in rows]))
 
 
 class Echelon:
@@ -223,7 +292,7 @@ class Echelon:
     def reduce(self, v) -> tuple[Fraction, ...]:
         """Residual of v modulo the span; zero exactly when v is in the span."""
         r, s = self._reduce(v)
-        return tuple([Fraction(x, s) if x else ZERO for x in r])
+        return _divided(r, s)
 
     def insert(self, v) -> bool:
         """Add v to the span; False (and no change) when v already lies in it."""
@@ -245,11 +314,10 @@ class Echelon:
         return True
 
     def subspace(self) -> Subspace:
-        """The span as a canonical (RREF) subspace."""
-        rows = tuple(
-            tuple([Fraction(x, row[p]) if x else ZERO for x in row]) for p, row in sorted(zip(self.pivots, self.rows))
-        )
-        return Subspace(self.ambient_dim, Matrix(len(rows), self.ambient_dim, rows))
+        """The span as a canonical (RREF) subspace, which keeps these rows
+        and forms its ``Fraction`` basis when that is read."""
+        rows = tuple([tuple(row) for _, row in sorted(zip(self.pivots, self.rows))])
+        return _Eliminated(self.ambient_dim, len(rows), lambda: rows)
 
 
 def span(vectors, ambient_dim: int) -> Subspace:
@@ -269,25 +337,32 @@ def capped_span(vectors, ambient_dim: int, cap: int) -> Subspace:
 
 
 def subspace_series(start: Subspace, step) -> tuple[Subspace, ...]:
-    """start, step(start), step(step(start)), ... up to the first zero or
-    repeated term."""
+    """start, step(start), step(step(start)), ... up to the first zero term
+    or the first term whose dimension equals the one before.
+
+    Every caller's step maps a term into a subspace of it: the derived
+    step of an ideal, [S, S] of a subalgebra and [G, S] of an ideal.  So
+    the terms decrease, and a term of the same dimension as the one
+    before is that term again: the series has stabilized.  Only
+    dimensions are compared, so no canonical basis is formed.
+    """
     terms = [start]
-    while not terms[-1].is_zero():
+    while terms[-1].dim:
         nxt = step(terms[-1])
         terms.append(nxt)
-        if nxt == terms[-2]:
+        if nxt.dim == terms[-2].dim:
             break
     return tuple(terms)
 
 
 def full_subspace(n: int) -> Subspace:
-    return Subspace(n, Matrix.identity(n))
+    return _Eliminated(n, n, lambda: tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return span(list(a.vectors()) + list(b.vectors()), a.ambient_dim)
+    return span(a._integer_rows() + b._integer_rows(), a.ambient_dim)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -300,8 +375,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    pad = (ZERO,) * n
-    ech = Echelon(2 * n, [x + x for x in a.vectors()] + [y + pad for y in b.vectors()])
+    pad = (0,) * n
+    ech = Echelon(2 * n, [x + x for x in a._integer_rows()] + [y + pad for y in b._integer_rows()])
     return span([row[n:] for p, row in zip(ech.pivots, ech.rows) if p >= n], n)
 
 
@@ -310,27 +385,34 @@ def subspace_contains(a: Subspace, v) -> bool:
     v = vec(v)
     if len(v) != a.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return not any(Echelon(a.ambient_dim, a.vectors()).reduce(v))
+    return not any(Echelon(a.ambient_dim, a._integer_rows())._reduce(v)[0])
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank."""
+    """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank;
+    its basis vectors are built when its basis is read."""
     ech = Echelon(m.cols)
     for r in m.entries:
         if ech.rank == m.cols:
             break
         ech.insert(r)
+    return _Eliminated(m.cols, m.cols - ech.rank, lambda: _kernel_rows(ech))
+
+
+def _kernel_rows(ech: Echelon) -> tuple:
+    """The primitive integer rows of the canonical basis of the null space of ech's rows."""
+    n = ech.ambient_dim
     basis_vecs = []
-    for f in sorted(set(range(m.cols)) - set(ech.pivots)):
+    for f in sorted(set(range(n)) - set(ech.pivots)):
         # e_f - sum of (row[f] / row[p])·e_p over the rows, times the lcm s of those row[p]
         terms = [(p, row[f], row[p]) for p, row in zip(ech.pivots, ech.rows) if row[f]]
         s = lcm(*[a for _, _, a in terms])
-        v = [0] * m.cols
+        v = [0] * n
         v[f] = s
         for p, x, a in terms:
             v[p] = -x * (s // a)
         basis_vecs.append(v)
-    return span(basis_vecs, m.cols)
+    return span(basis_vecs, n)._integer_rows()
 
 
 def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:
@@ -359,4 +441,5 @@ def inverse(m: Matrix) -> Matrix:
     ech = Echelon(2 * n, [r + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(m.entries)])
     if any(p >= n for p in ech.pivots):
         raise SingularMatrix("matrix is singular")
-    return Matrix(n, n, tuple(row[n:] for row in ech.subspace().vectors()))
+    # row p of the reduced [I | m⁻¹] is the echelon row of pivot p divided by its pivot entry
+    return Matrix(n, n, tuple([_divided(row[n:], row[p]) for p, row in sorted(zip(ech.pivots, ech.rows))]))

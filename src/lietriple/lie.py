@@ -13,7 +13,9 @@ checks the table.  [G, G] is spanned once per algebra too: it is the
 second term of both series and the span whose Killing-orthogonal
 complement is the radical.  Spans and kernels run on the brackets scaled
 to integers by one least common denominator d and on the Killing sums
-d²·K: the same spans, with ``Fraction``s only in the returned subspaces.
+d²·K: the same spans, with ``Fraction``s only in the returned subspaces,
+formed when their bases are read.  The Killing signature runs on d²·K
+too; the ``Fraction`` form is built only for ``killing_form``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .exactla import (
     capped_span,
     full_subspace,
     kernel,
-    scaled_nonzeros,
+    span,
     subspace_series,
     vec,
     vec_nonzeros,
@@ -79,6 +81,12 @@ class LieAlgebra:
     def _derived(self) -> Subspace:
         # [G, G], spanned by the nonzero brackets [e_i, e_j] with i < j
         return capped_span(_tensor.integer_cells(self, 2), self.dim, self.dim)
+
+    @cached_property
+    def _killing_image(self) -> tuple:
+        # kept on the instance: lie_radical takes its kernel and decompose
+        # the kernels of its column blocks
+        return _killing_rows(self)
 
     @staticmethod
     def from_entries(dim: int, entries: dict) -> LieAlgebra:
@@ -202,7 +210,7 @@ def _series(g: LieAlgebra, pairs) -> tuple[Subspace, ...]:
     def step(s: Subspace) -> Subspace:
         if s.dim == g.dim:
             return g._derived
-        vs = [scaled_nonzeros(v)[1] for v in s.vectors()]
+        vs = [vec_nonzeros(r) for r in s._integer_rows()]
         # each term lies in the one before
         return capped_span((_bracket(nz, x, y, 0) for x, y in pairs(vs)), g.dim, s.dim)
 
@@ -263,7 +271,8 @@ def killing_signature(g: LieAlgebra) -> KillingSignature:
     The loop stops when the rest of the form is zero.
     """
     m = g.dim
-    A = {i: list(r) for i, r in enumerate(killing_form(g).entries)}
+    # on d²·K: the same pivots in the same order, each scaled by d² > 0, so the same signs
+    A = {i: list(r) for i, r in enumerate(g._killing_sums)}
     pos = neg = 0
     while A:
         p = next((i for i in A if A[i][i]), None)
@@ -284,29 +293,33 @@ def killing_signature(g: LieAlgebra) -> KillingSignature:
         # only row p is read from here on, so its column needs no update
         nz = [(j, rp[j]) for j in A if rp[j]]
         for i, x in nz:
-            f, ri = x / d, A[i]
+            f, ri = Fraction(x, d), A[i]  # x / d of two ints would be a float
             for j, y in nz:
                 ri[j] -= f * y
     return KillingSignature(pos, neg, m - pos - neg)
 
 
-def lie_radical(g: LieAlgebra) -> Subspace:
-    """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0)."""
+def _killing_rows(g: LieAlgebra) -> tuple:
+    """The primitive integer echelon rows of K·[g, g]: the rows K·x over the
+    primitive basis rows x of [g, g], summed over the nonzero entries of x
+    and of K, as positive multiples in ints (the sums d²·K), then reduced."""
     m = g.dim
-    derived = g._derived
-    if derived.is_zero():
-        return full_subspace(m)
-    # the rows K·d, summed over the nonzero entries of d and of K, as positive
-    # multiples in ints: the sums d²·K on the primitive basis rows of [g, g]
     K = [vec_nonzeros(r) for r in g._killing_sums]
     rows = []
-    for d in derived.vectors():
+    for x in g._derived._integer_rows():
         row = [0] * m
-        for i, x in scaled_nonzeros(d)[1]:
+        for i, xi in vec_nonzeros(x):
             for j, y in K[i]:
-                row[j] += x * y
-        rows.append(tuple(row))
-    return kernel(Matrix(len(rows), m, tuple(rows)))
+                row[j] += xi * y
+        rows.append(row)
+    return span(rows, m)._integer_rows()
+
+
+def lie_radical(g: LieAlgebra) -> Subspace:
+    """Radical as the Killing-orthogonal complement of [g, g] (characteristic 0):
+    the kernel of the rows of K·[g, g]."""
+    rows = g._killing_image
+    return kernel(Matrix(len(rows), g.dim, rows))
 
 
 def lie_center(g: LieAlgebra) -> Subspace:

@@ -10,9 +10,11 @@ compare ``lietriple.embed.standard_embedding``, which reads all of this
 off the structure tensor, against it byte for byte.
 
 ``decompose`` is the original radical split: it intersects the radical
-with the coordinate spans of M and of h by Zassenhaus reduction.  The
-tests compare ``lietriple.embed.decompose``, which projects the radical's
-basis instead, against it.
+with the coordinate spans of M and of h by Zassenhaus reduction.
+``decompose_by_projection`` is the split that replaced it: it projects
+the radical's basis to M and to h and spans the projections again.  The
+tests compare ``lietriple.embed.decompose``, which takes the kernels of
+the column blocks of K·[G, G] instead, against both.
 """
 
 from __future__ import annotations
@@ -99,4 +101,22 @@ def decompose(e: StandardEmbedding) -> Decomposition:
         raise AssertionError("radical is not graded by the involution")
     m_prime = span([v[:n] for v in m_part.vectors()], n)
     h_prime = span([v[n:] for v in h_part.vectors()], e.h_dim)
+    return Decomposition(r, m_prime, h_prime)
+
+
+def decompose_by_projection(e: StandardEmbedding) -> Decomposition:
+    """Radical of the enveloping algebra split into its M and h parts.
+
+    The parts are the projections of the radical's basis onto the M and
+    the h coordinates: the radical is invariant under the grading
+    involution, so it is the sum of its parts in M and in h.
+    """
+    r = lie_radical(e.algebra)
+    n = e.source.dim
+    # r lies in π_M(r) + π_h(r), with equality exactly when r is graded;
+    # then the projections are r ∩ M and r ∩ h
+    m_prime = span([v[:n] for v in r.vectors()], n)
+    h_prime = span([v[n:] for v in r.vectors()], e.h_dim)
+    if m_prime.dim + h_prime.dim != r.dim:
+        raise AssertionError("radical is not graded by the involution")
     return Decomposition(r, m_prime, h_prime)

@@ -321,9 +321,39 @@ def test_each_input_is_validated_and_fingerprinted_once(by_label, monkeypatch):
     assert classify(changed) == ["dim3-III+", "dim3-IV+"]
     assert (len(checks), len(fingerprints)) == (1, 1)
     del checks[:], fingerprints[:]
-    r = isomorphic(by_label["dim3-III+"].system, by_label["dim3-IV+"].system)
+    # fresh copies of the tied entries: each system keeps its verdict, and the
+    # catalog's own instances may have been checked before
+    a, b = (TripleSystem(t.dim, t.c) for t in (by_label["dim3-III+"].system, by_label["dim3-IV+"].system))
+    r = isomorphic(a, b)
     assert r.verdict == "isomorphic"
     assert (len(checks), len(fingerprints)) == (2, 2)
+    # asked again, neither system is checked again
+    del checks[:], fingerprints[:]
+    assert isomorphic(a, b).verdict == "isomorphic"
+    assert (len(checks), len(fingerprints)) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b, separator",
+    [("dim2-1", "dim3-I", "dim_m"), ("dim3-II", "dim3-VI", "m_derived_dims"), ("dim3-VI", "dim3-II", "m_derived_dims")],
+)
+def test_iso_separated_on_m_alone_builds_no_embedding(by_label, monkeypatch, a, b, separator):
+    def refuse(t):
+        raise AssertionError("standard embedding built")
+
+    # the package exports the function classify under the module's name
+    monkeypatch.setattr(sys.modules["lietriple.classify"], "standard_embedding", refuse)
+    assert first_separator(by_label[a].expected, by_label[b].expected) == separator
+    r = isomorphic(by_label[a].system, by_label[b].system)
+    assert (r.verdict, r.separator) == ("non_isomorphic", separator)
+
+
+def test_iso_checks_b_after_a_even_when_m_separates(by_label):
+    # the dimensions differ, yet the invalid side is reported
+    with pytest.raises(InvalidLTS, match=CYCLIC_MSG):
+        isomorphic(by_label["dim2-1"].system, CYCLIC_BAD)
+    with pytest.raises(InvalidLTS, match=DERIVATION_MSG):
+        isomorphic(by_label["dim3-I"].system, DERIVATION_BAD)
 
 
 def test_all_pairs_fingerprint_table(entries):

@@ -22,8 +22,8 @@ from lietriple.core import (
     transform,
     triple_product,
 )
-from lietriple.embed import lts_radical, standard_embedding
-from lietriple.exactla import Echelon, Matrix, full_subspace, inverse, span
+from lietriple.embed import decompose, lts_radical, standard_embedding
+from lietriple.exactla import Echelon, Matrix, Subspace, capped_span, full_subspace, inverse, kernel, span
 from lietriple.formats import parse_lie, parse_lts, serialize_lie, serialize_lts
 from lietriple.lie import (
     Grading,
@@ -300,15 +300,15 @@ def test_standard_embedding_with_rejected_pairs_matches_reference(entries):
 FRACTION_ARITHMETIC = frozenset({"_add", "_sub", "_mul", "_div"})
 
 
-def fraction_arithmetic(call):
-    """The names of the Fraction operators that call() runs; forming a
-    Fraction, comparing one or reading its parts is not counted."""
+def profiled_calls(call, names, filename):
+    """The names, among names, of the functions defined in a file called
+    filename that call() runs, once per call."""
     seen = []
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name in FRACTION_ARITHMETIC:
-            if code.co_filename.endswith("fractions.py"):
+        if event == "call" and code.co_name in names:
+            if code.co_filename.endswith(filename):
                 seen.append(code.co_name)
 
     sys.setprofile(profile)
@@ -317,6 +317,12 @@ def fraction_arithmetic(call):
     finally:
         sys.setprofile(None)
     return seen
+
+
+def fraction_arithmetic(call):
+    """The names of the Fraction operators that call() runs; forming a
+    Fraction, comparing one or reading its parts is not counted."""
+    return profiled_calls(call, FRACTION_ARITHMETIC, "fractions.py")
 
 
 def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
@@ -335,3 +341,81 @@ def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
             lambda: lie_radical(g),
         ):
             assert fraction_arithmetic(call) == [], t
+
+
+def public_subspaces(t):
+    """Every public Subspace result on t, from scratch: t is copied, so no
+    span cached on t or on its embedding is shared between calls."""
+    t = TripleSystem(t.dim, t.c)
+    n = t.dim
+    emb = standard_embedding(t)
+    g = emb.algebra
+    products = [v for ci in t.c for cij in ci for v in cij]
+    dec = decompose(emb)
+    return {
+        "derived_series": derived_series(t, full_subspace(n)).terms,
+        "lts_center": (lts_center(t),),
+        "lie_center": (lie_center(g),),
+        "lie_derived_series": lie_derived_series(g),
+        "lower_central_series": lower_central_series(g),
+        "lie_radical": (lie_radical(g),),
+        "decompose": (dec.r, dec.m_prime, dec.h_prime),
+        "span": (span(products, n),),
+        "capped_span": (capped_span(products, n, span(products, n).dim),),
+        "kernel": (kernel(killing_form(g)),),
+        "full_subspace": (full_subspace(n), full_subspace(g.dim)),
+    }
+
+
+def test_subspaces_equal_hash_and_print_like_eager_ones(entries):
+    # a Subspace from elimination forms its basis when equality, hashing or
+    # repr first reads it; each reader gets its own fresh results
+    compared = 0
+    for t in systems(entries):
+        eager = {
+            name: [Subspace(s.ambient_dim, s.basis) for s in subspaces]
+            for name, subspaces in public_subspaces(t).items()
+        }
+        read = {"eq": public_subspaces(t), "hash": public_subspaces(t), "repr": public_subspaces(t)}
+        for name, want in eager.items():
+            for got in read["eq"][name]:
+                assert type(got) is not Subspace  # the lazy values are what this compares
+            assert [s.dim for s in read["eq"][name]] == [s.dim for s in want], (t, name)
+            assert list(read["eq"][name]) == want, (t, name)
+            assert [hash(s) for s in read["hash"][name]] == [hash(s) for s in want], (t, name)
+            assert [repr(s) for s in read["repr"][name]] == [repr(s) for s in want], (t, name)
+            for got, w in zip(public_subspaces(t)[name], want):
+                n, d = w.ambient_dim, w.dim
+                # a subspace of the same dimension and another basis is another subspace
+                last = span([tuple(int(c == j) for c in range(n)) for j in range(n - d, n)], n)
+                assert (got == last) == (w.basis == last.basis), (t, name)
+                assert got.vectors() == w.vectors() and got.is_zero() == w.is_zero(), (t, name)
+                compared += 1
+    assert compared >= 2000
+
+
+def test_decompose_matches_projection_reference(entries):
+    # the kernels of the column blocks of K·[G, G] equal the projections of
+    # the radical's basis, which are r ∩ M and r ∩ h
+    proper = 0
+    for t in systems(entries):
+        emb = standard_embedding(t)
+        got = decompose(emb)
+        assert got == embed_reference.decompose_by_projection(emb), t
+        proper += 0 < got.m_prime.dim < t.dim and got.h_prime.dim > 0
+    assert proper >= 10
+
+
+LAZY_BUILDERS = frozenset({"_canonical_basis", "_kernel_rows"})
+
+
+def test_fingerprint_forms_no_canonical_or_kernel_basis(by_label):
+    # fingerprint reads dimensions only: no Fraction basis of a span and no
+    # basis vector of a kernel is formed on its path
+    changed = transform(by_label["dim3-III+"].system, random_invertible(random.Random(23), 3))
+    for make in (lambda: sphere_system(7), lambda: TripleSystem(changed.dim, changed.c)):
+        # the probe sees the builders it is for
+        t = make()
+        assert set(profiled_calls(lambda: lts_radical(t).basis, LAZY_BUILDERS, "exactla.py")) == LAZY_BUILDERS
+        t = make()
+        assert profiled_calls(lambda: fingerprint(t), LAZY_BUILDERS, "exactla.py") == [], t
