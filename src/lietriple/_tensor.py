@@ -1,19 +1,24 @@
-"""The layout of a table antisymmetric in its first two slots.
+"""The table antisymmetric in its first two slots: the type under
+``TripleSystem`` and ``LieAlgebra``.
 
 A triple system's ``c[i][j][k]`` (rank 3, the product (e_i, e_j, e_k)) and
 a Lie algebra's ``f[i][j]`` (rank 2, the bracket [e_i, e_j]) are nested
-tables of coordinate vectors.  Each instance also keeps ``_nz``: the same
-nesting, with each vector replaced by the pairs (l, x) of its nonzero
-coordinates, l increasing.  ``build`` fills in the lower half, negated,
-from the pairs of the upper half, key[0] < key[1], so its output is
-antisymmetric by construction and is not checked again.  ``integer``
-keeps the table scaled to integers on the instance, so each table is
-scaled once, whichever reader asks first.
+tables of coordinate vectors, and both classes subclass ``Table``.  It
+owns the layout, the public constructor's checks, the builders and the
+values each instance keeps.  ``_nz`` is the same nesting, with each
+vector replaced by the pairs (l, x) of its nonzero coordinates, l
+increasing.  ``_from_pairs`` fills in the lower half, negated, from the
+pairs of the upper half, key[0] < key[1], so its output is antisymmetric
+by construction and is not checked again; every table the library builds
+comes from it.  ``_integer`` keeps the table scaled to integers, so each
+table is scaled once, whichever reader asks first.
 """
 
 from dataclasses import fields
+from functools import cached_property
 from math import lcm
 
+from . import exactla
 from .exactla import vec, vec_from_pairs, vec_nonzeros, zero_vec
 
 
@@ -38,37 +43,75 @@ def _nested(dim: int, rank: int, cells: dict, key=()) -> tuple:
     return tuple([_nested(dim, rank, cells, key + (i,)) for i in range(dim)])
 
 
-def from_entries(cls, dim: int, rank: int, entries: dict, what: str):
-    """``build`` from {key: vector}; a key needs ``rank`` indices below dim
-    with key[0] < key[1], or it is a ``bad <what> index``."""
-    if dim < 0:
-        return cls(dim, ())  # the shape check of the dense constructor words the error
-    pairs, indices = {}, set(range(dim))
-    for key, v in entries.items():
-        if not (len(key) == rank and indices.issuperset(key) and key[0] < key[1]):
-            raise ValueError(f"bad {what} index ({','.join(map(str, key))})")
-        v = vec(v)
-        if len(v) != dim:
-            raise ValueError("coordinate vector length mismatch")
-        pairs[key] = vec_nonzeros(v)
-    return build(cls, dim, rank, pairs)
+class Table:
+    """A frozen dataclass with the fields (dim, table), the table
+    antisymmetric in its first two slots.  A subclass sets ``RANK``, the
+    word ``_KEY`` that names a bad key of ``from_entries``, the message
+    ``_SHAPE`` for a table of the wrong shape, and ``_asymmetry``, the
+    exception for the first bad key, 1-based."""
 
+    def __post_init__(self):
+        table = getattr(self, fields(self)[1].name)
+        if not shape_ok(table, self.RANK, self.dim):
+            raise ValueError(self._SHAPE)
+        if bad := first_asymmetry(self._nz, self.RANK):
+            raise self._asymmetry(*(s + 1 for s in bad))
 
-def build(cls, dim: int, rank: int, pairs: dict):
-    """The instance of the dataclass cls, with fields (dim, table), whose
-    cells hold pairs[key] at each key of the upper half, the negated pairs
-    at (key[1], key[0], ...) and zero elsewhere."""
-    cells = dict(pairs)
-    for (i, j, *rest), p in pairs.items():
-        cells[(j, i, *rest)] = tuple([(l, -x) for l, x in p])
-    nz = _nested(dim, rank, cells)
-    zero = zero_vec(dim)
-    table = _map(nz, rank, lambda p: vec_from_pairs(p, dim) if p else zero)
-    obj = object.__new__(cls)
-    # set as __init__ would, with _nz cached and no __post_init__
-    dim_name, table_name = (f.name for f in fields(cls))
-    vars(obj).update({dim_name: dim, table_name: table, "_nz": nz})
-    return obj
+    @cached_property
+    def _nz(self) -> tuple:
+        return nonzeros(getattr(self, fields(self)[1].name), self.RANK)
+
+    @cached_property
+    def _integer(self) -> tuple:
+        """The least common denominator d of the table, read off the upper
+        half of ``_nz``, and ``_nz`` with each entry x replaced by the int d·x."""
+        nz, rank = self._nz, self.RANK
+        d = lcm(*(x.denominator for _, p in upper(nz, rank) for _, x in p))
+        return d, _map(nz, rank, lambda p: tuple([(l, x.numerator * (d // x.denominator)) for l, x in p]) if p else ())
+
+    @cached_property
+    def _derived(self):
+        # (M, M, M) or [G, G]: the span of the nonzero cells with key[0] < key[1];
+        # capped_span is looked up in exactla when called
+        return exactla.capped_span(integer_cells(self), self.dim, self.dim)
+
+    @classmethod
+    def from_entries(cls, dim: int, entries: dict):
+        """Build from a sparse map {key: vector}, each key ``RANK`` 0-based
+        indices with key[0] < key[1]; the antisymmetric completion, the
+        negated vector at (key[1], key[0], ...), is filled in."""
+        if dim < 0:
+            return cls(dim, ())  # the shape check of the dense constructor words the error
+        pairs, indices = {}, set(range(dim))
+        for key, v in entries.items():
+            if not (len(key) == cls.RANK and indices.issuperset(key) and key[0] < key[1]):
+                raise ValueError(f"bad {cls._KEY} index ({','.join(map(str, key))})")
+            v = vec(v)
+            if len(v) != dim:
+                raise ValueError("coordinate vector length mismatch")
+            pairs[key] = vec_nonzeros(v)
+        return cls._from_pairs(dim, pairs)
+
+    @classmethod
+    def _from_pairs(cls, dim: int, pairs: dict):
+        """Build from {key: the nonzero pairs (l, x) of the cell at key}, each
+        key with key[0] < key[1]: the negated pairs go to (key[1], key[0], ...)
+        and every other cell is zero."""
+        cells = dict(pairs)
+        for (i, j, *rest), p in pairs.items():
+            cells[(j, i, *rest)] = tuple([(l, -x) for l, x in p])
+        nz = _nested(dim, cls.RANK, cells)
+        zero = zero_vec(dim)
+        table = _map(nz, cls.RANK, lambda p: vec_from_pairs(p, dim) if p else zero)
+        obj = object.__new__(cls)
+        # set as __init__ would, with _nz kept and no __post_init__
+        dim_name, table_name = (f.name for f in fields(cls))
+        vars(obj).update({dim_name: dim, table_name: table, "_nz": nz})
+        return obj
+
+    @classmethod
+    def abelian(cls, dim: int):
+        return cls.from_entries(dim, {})
 
 
 def nonzeros(table, rank: int) -> tuple:
@@ -94,19 +137,6 @@ def first_asymmetry(nz, rank: int) -> tuple | None:
     return None
 
 
-def integer(obj, rank: int) -> tuple:
-    """The least common denominator d of the instance's table, read off the
-    upper half of its ``_nz``, and ``_nz`` with each entry x replaced by the
-    int d·x; computed once per instance and kept on it."""
-    scaled = vars(obj).get("_integer")
-    if scaled is None:
-        nz = obj._nz
-        d = lcm(*(x.denominator for _, p in upper(nz, rank) for _, x in p))
-        table = _map(nz, rank, lambda p: tuple([(l, x.numerator * (d // x.denominator)) for l, x in p]) if p else ())
-        scaled = vars(obj)["_integer"] = d, table
-    return scaled
-
-
 def upper(nz, rank: int) -> list:
     """(key, cell) for the nonzero cells of a table of pairs with key[0] < key[1], in key order."""
     n = len(nz)
@@ -114,22 +144,22 @@ def upper(nz, rank: int) -> list:
     return [(key, p) for key, p in _cells(halves, rank - 2) if p]
 
 
-def integer_cells(obj, rank: int):
-    """The nonzero cells of the upper half of ``integer``'s table, in key order, as dense int lists."""
-    n = len(obj._nz)
-    for _, p in upper(integer(obj, rank)[1], rank):
+def integer_cells(obj: Table):
+    """The nonzero cells of the upper half of ``_integer``'s table, in key order, as dense int lists."""
+    n = obj.dim
+    for _, p in upper(obj._integer[1], obj.RANK):
         v = [0] * n
         for l, x in p:
             v[l] = x
         yield v
 
 
-def slot_rows(obj, rank: int, slots) -> list:
-    """For each slot in turn, the first (0) or the last (rank - 1), the
-    nonzero rows, in key order, of z -> the instance's table scaled by
-    ``integer`` with z in that slot: row (key without the slot, l) holds at
-    s the int coordinate l of the cell whose key has s in the slot."""
-    nz = integer(obj, rank)[1]
+def slot_rows(obj: Table, slots) -> list:
+    """For each slot in turn, the first (0) or the last (RANK - 1), the
+    nonzero rows, in key order, of z -> the table scaled by ``_integer``
+    with z in that slot: row (key without the slot, l) holds at s the int
+    coordinate l of the cell whose key has s in the slot."""
+    rank, nz = obj.RANK, obj._integer[1]
     n = len(nz)
     if rank == 2:
         nz = [(t,) for t in nz]  # read as rank 3 with a middle index of 0, which keeps the key order

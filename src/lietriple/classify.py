@@ -6,6 +6,9 @@ invertible change of basis: dimensions of canonical series and radicals,
 and the exact signature of the Killing form of the enveloping algebra.
 Distinct fingerprints certify non-isomorphism; equal fingerprints decide
 nothing by themselves, which is why the isomorphism test is three-valued.
+The fields read off M alone are kept on the system
+(``TripleSystem._m_fields``), and ``isomorphic`` compares them before it
+builds a standard embedding.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .core import TripleSystem, derived_series, lts_center, require_axioms, transform
+from .core import TripleSystem, require_axioms, transform
 from .embed import decompose, standard_embedding
-from .exactla import Matrix, full_subspace
+from .exactla import Matrix
 from .lie import KillingSignature, killing_signature, lie_derived_series, lower_central_series
 from .witness import search_witness
 
@@ -55,21 +58,10 @@ class IsoResult:
     separator: str | None = None
 
 
-def _m_fields(t: TripleSystem) -> tuple:
-    """dim_m, m_derived_dims and m_center_dim, the leading fields, which are
-    read off M alone; kept on the instance, as isomorphic compares them
-    before it asks for the fingerprints."""
-    fields = vars(t).get("_m_fields")
-    if fields is None:
-        series = derived_series(t, full_subspace(t.dim))
-        fields = vars(t)["_m_fields"] = (t.dim, series.dims, lts_center(t).dim)
-    return fields
-
-
 def fingerprint(t: TripleSystem) -> Fingerprint:
     """All invariants, computed exactly from one standard embedding."""
     require_axioms(t)  # raises InvalidLTS before any invariant is computed
-    dim_m, m_derived_dims, center_dim = _m_fields(t)
+    dim_m, m_derived_dims, center_dim = t._m_fields
     emb = standard_embedding(t)
     g = emb.algebra
     dec = decompose(emb)
@@ -127,7 +119,7 @@ def isomorphic(a: TripleSystem, b: TripleSystem, budget: int = DEFAULT_ISO_BUDGE
     """
     require_axioms(a)
     require_axioms(b)
-    sep = next((name for name, x, y in zip(FINGERPRINT_FIELDS, _m_fields(a), _m_fields(b)) if x != y), None)
+    sep = next((name for name, x, y in zip(FINGERPRINT_FIELDS, a._m_fields, b._m_fields) if x != y), None)
     if sep is None:
         sep = first_separator(fingerprint(a), fingerprint(b))
     if sep is not None:

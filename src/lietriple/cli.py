@@ -146,8 +146,7 @@ def cmd_catalog(args) -> int:
     try:
         entry = catalog.get(args.dump)
     except KeyError:
-        print(f"unknown catalog label {args.dump!r}", file=sys.stderr)
-        return 1
+        raise _CliError(f"unknown catalog label {args.dump!r}") from None
     _write_out(serialize_lts(entry.system), args.output)
     return 0
 

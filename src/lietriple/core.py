@@ -8,16 +8,18 @@ checked by :func:`check_axioms`.
 
 Each system keeps the nonzero coordinates of its products, ``_nz``, and
 the triple product, the integer tensor, the derived series and the centre
-read only those.  ``_tensor`` owns the layout of ``c`` and ``_nz``: every
-system built here or by ``parse_lts`` comes from the pairs of the upper
-half through ``_tensor.build``, antisymmetric by construction.  Only
+read only those.  ``TripleSystem`` is a ``_tensor.Table`` of rank 3, which
+owns the layout of ``c`` and ``_nz``: every system built here or by
+``parse_lts`` comes from the pairs of the upper half through
+``_from_pairs``, antisymmetric by construction.  Only
 ``TripleSystem(dim, c)`` reads the pairs off ``c`` and checks the tensor.
 
 Spans and kernels (the derived series, the centre, the ideal tests) run on
 the tensor scaled to integers by one least common denominator and on the
 primitive integer basis rows that each subspace keeps: the same spans,
 with ``Fraction``s only in the returned subspaces, formed when their bases
-are read.  Each system keeps its axiom verdict, so it is checked once.
+are read.  Each system keeps its axiom verdict, so it is checked once,
+and the fingerprint's fields read off M alone (``_m_fields``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exactla import (
     Subspace,
     ZERO,
     capped_span,
+    full_subspace,
     inverse,
     kernel,
     subspace_series,
@@ -50,29 +53,21 @@ class NotAnIdeal(ValueError):
 
 
 @dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(_tensor.Table):
     """Finite-dimensional Lie triple system given by its structure tensor."""
 
     dim: int
     c: tuple  # c[i][j][k] -> coordinate vector, all indices 0-based
 
-    def __post_init__(self):
-        if not _tensor.shape_ok(self.c, 3, self.dim):
-            raise ValueError("tensor shape does not match dimension")
-        if bad := _tensor.first_asymmetry(self._nz, 3):
-            i, j, k = (s + 1 for s in bad)
-            if i == j:
-                raise InvalidLTS(f"(e{i},e{i},e{k}) must vanish")
-            raise InvalidLTS(f"tensor not antisymmetric in the first two slots at ({i},{j},{k})")
+    RANK = 3
+    _KEY = "tensor"
+    _SHAPE = "tensor shape does not match dimension"
 
-    @cached_property
-    def _nz(self) -> tuple:
-        return _tensor.nonzeros(self.c, 3)
-
-    @cached_property
-    def _derived(self) -> Subspace:
-        # (M, M, M), spanned by the nonzero products (e_i, e_j, e_k) with i < j
-        return capped_span(_tensor.integer_cells(self, 3), self.dim, self.dim)
+    @staticmethod
+    def _asymmetry(i: int, j: int, k: int) -> InvalidLTS:
+        if i == j:
+            return InvalidLTS(f"(e{i},e{i},e{k}) must vanish")
+        return InvalidLTS(f"tensor not antisymmetric in the first two slots at ({i},{j},{k})")
 
     @cached_property
     def _verdict(self) -> AxiomVerdict:
@@ -80,22 +75,12 @@ class TripleSystem:
         # several steps require to be valid is checked once
         return check_axioms(self)
 
-    @staticmethod
-    def from_entries(dim: int, entries: dict) -> TripleSystem:
-        """Build from a sparse map {(i, j, k): vector} with 0-based i < j.
-
-        The antisymmetric completion c[j][i][k] = -c[i][j][k] is filled in.
-        """
-        return _tensor.from_entries(TripleSystem, dim, 3, entries, "tensor")
-
-    @staticmethod
-    def _from_pairs(dim: int, pairs: dict) -> TripleSystem:
-        """Build from {(i, j, k): the nonzero pairs (l, x) of (e_i, e_j, e_k)}, 0-based i < j."""
-        return _tensor.build(TripleSystem, dim, 3, pairs)
-
-    @staticmethod
-    def abelian(dim: int) -> TripleSystem:
-        return TripleSystem.from_entries(dim, {})
+    @cached_property
+    def _m_fields(self) -> tuple:
+        # dim, the derived-series dims and the centre dim: the fingerprint's
+        # fields read off M alone, which isomorphic compares before it asks
+        # for the fingerprints
+        return self.dim, derived_series(self, full_subspace(self.dim)).dims, lts_center(self).dim
 
 
 @dataclass(frozen=True)
@@ -129,7 +114,7 @@ def triple_product(t: TripleSystem, x, y, z):
 
 def _triple(nz, xs, ys, zs, zero):
     """(x, y, z) on the table of pairs nz (``_nz``, or its ints from
-    ``_tensor.integer``) from the nonzero pairs (index, entry) of x, y and
+    ``_integer``) from the nonzero pairs (index, entry) of x, y and
     z; the coordinates start at zero."""
     out = [zero] * len(nz)
     for i, xi in xs:
@@ -158,7 +143,7 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     on the sparse integer tensor.
     """
     n = t.dim
-    d, S = _tensor.integer(t, 3)
+    d, S = t._integer
     rng = range(n)
     for i in rng:
         for j in range(i + 1, n):
@@ -214,7 +199,7 @@ def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
     ech = Echelon(t.dim, d._integer_rows())
-    S = _tensor.integer(t, 3)[1]
+    S = t._integer[1]
     return not any(any(ech._reduce(_triple(S, x, y, z, 0))[0]) for x in xs for y in ys for z in zs)
 
 
@@ -237,7 +222,7 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if om.dim == t.dim:
         return t._derived
-    S = _tensor.integer(t, 3)[1]
+    S = t._integer[1]
     vs = [vec_nonzeros(r) for r in om._integer_rows()]
     products = (_triple(S, ((i, 1),), a, b, 0) for i in range(t.dim) for a in vs for b in vs)
     # (M, om, om) lies in M
@@ -275,7 +260,7 @@ def derived_series(t: TripleSystem, om: Subspace) -> DerivedSeries:
 def lts_center(t: TripleSystem) -> Subspace:
     """{z : (z, x, y) = 0 and (x, y, z) = 0 for all basis x, y}."""
     # the rows of z -> (z, e_j, e_k), then those of z -> (e_i, e_j, z)
-    rows = _tensor.slot_rows(t, 3, (0, 2))
+    rows = _tensor.slot_rows(t, (0, 2))
     return kernel(Matrix(len(rows), t.dim, tuple(rows)))
 
 
@@ -286,13 +271,13 @@ def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
     ech = Echelon(t.dim, om._integer_rows())
     complement = [j for j in range(t.dim) if j not in ech.pivots]
     q = len(complement)
-    entries = {}
+    pairs = {}
     for a in range(q):
         for b in range(a + 1, q):
             for k in range(q):
                 residual = ech.reduce(t.c[complement[a]][complement[b]][complement[k]])
-                entries[(a, b, k)] = tuple(residual[j] for j in complement)
-    return TripleSystem.from_entries(q, entries)
+                pairs[(a, b, k)] = vec_nonzeros([residual[j] for j in complement])
+    return TripleSystem._from_pairs(q, pairs)
 
 
 def direct_sum(a: TripleSystem, b: TripleSystem) -> TripleSystem:
@@ -311,11 +296,11 @@ def transform(t: TripleSystem, T: Matrix) -> TripleSystem:
         raise ValueError("transform matrix must be n x n")
     Tinv = inverse(T)  # raises SingularMatrix
     new_rows = T.entries
-    entries = {}
+    pairs = {}
     for a in range(n):
         for b in range(a + 1, n):
             for k in range(n):
                 prod_old = triple_product(t, new_rows[a], new_rows[b], new_rows[k])
                 # old coords v relate to new coords x by v = x·T
-                entries[(a, b, k)] = Tinv.vecmat(prod_old)
-    return TripleSystem.from_entries(n, entries)
+                pairs[(a, b, k)] = vec_nonzeros(Tinv.vecmat(prod_old))
+    return TripleSystem._from_pairs(n, pairs)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _tensor
 from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
@@ -114,7 +113,7 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     c, nz = t.c, t._nz
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # d·D_{e_i,e_j} in ints, flattened column by column: column k is d·c[i][j][k]
-    S = _tensor.integer(t, 3)[1]
+    S = t._integer[1]
     flat = {ij: [0] * (n * n) for ij in pairs}
     for (i, j), v in flat.items():
         for k, p in enumerate(S[i][j]):

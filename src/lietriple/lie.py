@@ -5,17 +5,18 @@ from a graded algebra back to a triple system.
 
 Each algebra keeps the nonzero coordinates of its brackets, ``_nz``, and
 the bracket, the series, the Killing form, the radical, the centre and the
-grading check read only those.  ``_tensor`` owns the layout of ``f`` and
-``_nz``: ``from_entries``, ``parse_lie`` and ``standard_embedding`` build
-from the pairs of the upper half through ``_tensor.build``, antisymmetric
-by construction.  Only ``LieAlgebra(dim, f)`` reads the pairs off ``f`` and
-checks the table.  [G, G] is spanned once per algebra too: it is the
-second term of both series and the span whose Killing-orthogonal
-complement is the radical.  Spans and kernels run on the brackets scaled
-to integers by one least common denominator d and on the Killing sums
-d²·K: the same spans, with ``Fraction``s only in the returned subspaces,
-formed when their bases are read.  The Killing signature runs on d²·K
-too; the ``Fraction`` form is built only for ``killing_form``.
+grading check read only those.  ``LieAlgebra`` is a ``_tensor.Table`` of
+rank 2, which owns the layout of ``f`` and ``_nz``: ``from_entries``,
+``parse_lie`` and ``standard_embedding`` build from the pairs of the upper
+half through ``_from_pairs``, antisymmetric by construction.  Only
+``LieAlgebra(dim, f)`` reads the pairs off ``f`` and checks the table.
+[G, G] is spanned once per algebra too: it is the second term of both
+series and the span whose Killing-orthogonal complement is the radical.
+Spans and kernels run on the brackets scaled to integers by one least
+common denominator d and on the Killing sums d²·K: the same spans, with
+``Fraction``s only in the returned subspaces, formed when their bases are
+read.  The Killing signature runs on d²·K too; the ``Fraction`` form is
+built only for ``killing_form``.
 """
 
 from __future__ import annotations
@@ -46,24 +47,21 @@ class InvalidGrading(ValueError):
 
 
 @dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_tensor.Table):
     """Lie algebra given by its bracket tensor f[i][j] = [e_i, e_j]."""
 
     dim: int
     f: tuple  # f[i][j] -> coordinate vector, 0-based
 
-    def __post_init__(self):
-        if not _tensor.shape_ok(self.f, 2, self.dim):
-            raise ValueError("bracket tensor shape does not match dimension")
-        if bad := _tensor.first_asymmetry(self._nz, 2):
-            i, j = (s + 1 for s in bad)
-            if i == j:
-                raise ValueError(f"[e{i},e{i}] must vanish")
-            raise ValueError(f"brackets not antisymmetric at ({i},{j})")
+    RANK = 2
+    _KEY = "bracket"
+    _SHAPE = "bracket tensor shape does not match dimension"
 
-    @cached_property
-    def _nz(self) -> tuple:
-        return _tensor.nonzeros(self.f, 2)
+    @staticmethod
+    def _asymmetry(i: int, j: int) -> ValueError:
+        if i == j:
+            return ValueError(f"[e{i},e{i}] must vanish")
+        return ValueError(f"brackets not antisymmetric at ({i},{j})")
 
     @cached_property
     def _killing_sums(self) -> list:
@@ -73,34 +71,15 @@ class LieAlgebra:
 
     @cached_property
     def _killing(self) -> Matrix:
-        dd = _tensor.integer(self, 2)[0] ** 2
+        dd = self._integer[0] ** 2
         rows = [[Fraction(x, dd) if x else ZERO for x in r] for r in self._killing_sums]
         return Matrix.from_rows(rows, self.dim)
-
-    @cached_property
-    def _derived(self) -> Subspace:
-        # [G, G], spanned by the nonzero brackets [e_i, e_j] with i < j
-        return capped_span(_tensor.integer_cells(self, 2), self.dim, self.dim)
 
     @cached_property
     def _killing_image(self) -> tuple:
         # kept on the instance: lie_radical takes its kernel and decompose
         # the kernels of its column blocks
         return _killing_rows(self)
-
-    @staticmethod
-    def from_entries(dim: int, entries: dict) -> LieAlgebra:
-        """Build from a sparse map {(i, j): vector} with 0-based i < j."""
-        return _tensor.from_entries(LieAlgebra, dim, 2, entries, "bracket")
-
-    @staticmethod
-    def _from_pairs(dim: int, pairs: dict) -> LieAlgebra:
-        """Build from {(i, j): the nonzero pairs (l, x) of [e_i, e_j]}, 0-based i < j."""
-        return _tensor.build(LieAlgebra, dim, 2, pairs)
-
-    @staticmethod
-    def abelian(dim: int) -> LieAlgebra:
-        return LieAlgebra.from_entries(dim, {})
 
 
 @dataclass(frozen=True)
@@ -163,7 +142,7 @@ def bracket(g: LieAlgebra, x, y):
 
 def _bracket(nz, xs, ys, zero):
     """[x, y] on the table of pairs nz (``_nz``, or its ints from
-    ``_tensor.integer``) from the nonzero pairs (i, x_i) and (j, y_j) of x
+    ``_integer``) from the nonzero pairs (i, x_i) and (j, y_j) of x
     and y; the coordinates start at zero."""
     out = [zero] * len(nz)
     for i, xi in xs:
@@ -176,18 +155,21 @@ def _bracket(nz, xs, ys, zero):
 
 
 def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
-    """Jacobi identity over all basis triples; first violation in lex order.
+    """Jacobi identity on the basis triples i < j < k; first violation in lex order.
 
-    The brackets are scaled to integers by their least common denominator
-    d, and only nonzero constants are visited: a cyclic term
-    [[e_a, e_b], e_c] reads the nonzeros of [e_a, e_b] and, for each, those
-    of [e_q, e_c].  The residual is d^-2 times the integer sum."""
+    The bracket is antisymmetric, so the Jacobiator is alternating: it
+    vanishes on a triple with a repeated index, and the lexicographically
+    first violating triple is sorted.  The brackets are scaled to integers
+    by their least common denominator d, and only nonzero constants are
+    visited: a cyclic term [[e_a, e_b], e_c] reads the nonzeros of
+    [e_a, e_b] and, for each, those of [e_q, e_c].  The residual is d^-2
+    times the integer sum."""
     m = g.dim
-    d, nz = _tensor.integer(g, 2)
+    d, nz = g._integer
     for i in range(m):
-        for j in range(m):
+        for j in range(i + 1, m):
             ij, nz_j = nz[i][j], nz[j]
-            for k in range(m):
+            for k in range(j + 1, m):
                 jk, ki = nz_j[k], nz[k][i]
                 if not (ij or jk or ki):
                     continue
@@ -205,7 +187,7 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
 def _series(g: LieAlgebra, pairs) -> tuple[Subspace, ...]:
     """The series from G whose step spans the integer brackets of pairs(vs),
     vs the primitive basis rows of the last term; G steps to its own [G, G]."""
-    nz = _tensor.integer(g, 2)[1]
+    nz = g._integer[1]
 
     def step(s: Subspace) -> Subspace:
         if s.dim == g.dim:
@@ -238,7 +220,7 @@ def _killing_form(g: LieAlgebra) -> list:
     nonzero constants only, with the constants scaled to integers by their
     least common denominator d, as in check_jacobi."""
     m = g.dim
-    d, nz = _tensor.integer(g, 2)
+    d, nz = g._integer
     # by_lk[(l, k)]: the pairs (j, d·c_jl^k) of the nonzero constants
     by_lk = {}
     for j, nzj in enumerate(nz):
@@ -324,7 +306,7 @@ def lie_radical(g: LieAlgebra) -> Subspace:
 
 def lie_center(g: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}."""
-    rows = _tensor.slot_rows(g, 2, (0,))
+    rows = _tensor.slot_rows(g, (0,))
     return kernel(Matrix(len(rows), g.dim, tuple(rows)))
 
 
@@ -354,7 +336,7 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
     require_grading(g, gr)
     minus = gr.minus_indices
     n = len(minus)
-    entries = {}
+    pairs = {}
     for a in range(n):
         for b in range(a + 1, n):
             inner = g._nz[minus[a]][minus[b]]
@@ -363,5 +345,5 @@ def lie_to_lts(g: LieAlgebra, gr: Grading) -> TripleSystem:
             for k in range(n):
                 double = _bracket(g._nz, inner, ((minus[k], ONE),), ZERO)
                 # parity guarantees the plus-part of the double bracket vanishes
-                entries[(a, b, k)] = tuple(double[minus[l]] for l in range(n))
-    return TripleSystem.from_entries(n, entries)
+                pairs[(a, b, k)] = vec_nonzeros([double[l] for l in minus])
+    return TripleSystem._from_pairs(n, pairs)

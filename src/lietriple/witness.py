@@ -59,8 +59,8 @@ def _kernel_args(a: TripleSystem, b: TripleSystem) -> tuple:
     """(n, a_entries, b_flat, m_lhs, m_rhs) of ``stage_search`` for integer
     candidate values: a scaled by da and b by db, with m_lhs = db, m_rhs = da."""
     n = a.dim
-    da, sa = _tensor.integer(a, 3)
-    db, sb = _tensor.integer(b, 3)
+    da, sa = a._integer
+    db, sb = b._integer
     a_entries = [(i, j, k, l, x) for (i, j, k), pairs in _tensor.upper(sa, 3) for l, x in pairs]
     b_flat = [0] * n**4
     for (i, j, k), pairs in _tensor.upper(sb, 3):
