@@ -15,11 +15,14 @@ table is scaled once, whichever reader asks first.
 """
 
 from dataclasses import fields
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from . import exactla
 from .exactla import vec, vec_from_pairs, vec_nonzeros, zero_vec
+
+_EXACT = frozenset((int, Fraction))
 
 
 def _map(table, rank: int, fn) -> tuple:
@@ -54,6 +57,9 @@ class Table:
         table = getattr(self, fields(self)[1].name)
         if not shape_ok(table, self.RANK, self.dim):
             raise ValueError(self._SHAPE)
+        for x in scalars(table, self.RANK):
+            if type(x) not in _EXACT:
+                raise ValueError(f"table entry {x!r} is not an int or a Fraction")
         if bad := first_asymmetry(self._nz, self.RANK):
             raise self._asymmetry(*(s + 1 for s in bad))
 
@@ -123,6 +129,11 @@ def nonzeros(table, rank: int) -> tuple:
 def shape_ok(table, rank: int, dim: int) -> bool:
     """Every level of the table, and every vector in it, has length dim."""
     return len(table) == dim and (rank == 0 or all(shape_ok(t, rank - 1, dim) for t in table))
+
+
+def scalars(table, rank: int):
+    """The entries of every vector in the table, in order."""
+    return table if rank == 0 else (x for t in table for x in scalars(t, rank - 1))
 
 
 def first_asymmetry(nz, rank: int) -> tuple | None:

@@ -41,10 +41,11 @@ without walking every tuple.  It cuts four kinds of subtree:
 The geometry of the grid depends only on the stage's values and the rows
 placed, never on the two systems: which rows are independent of the rows
 above them, the integer basis orthogonal to those rows, and the number of
-invertible last rows under them.  It is kept in one memo per process,
-shared by every search, and holds at most ``_Grid.LIMIT`` entries; past
-that, geometry is computed as needed and not kept, and the next stage
-starts a new memo.
+invertible last rows under them.  ``_orthogonal`` and ``_last_count``
+compute it as pure functions of those values, each behind a
+least-recently-used cache of 8,192 entries shared by every search in
+the process (about 1.1 MB in all when a 12-dimensional search has filled
+them).
 
 All arithmetic is over Python ints (the driver pre-scales every rational
 input), which are exact at any size.
@@ -52,50 +53,12 @@ input), which are exact at any size.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import mul, neg
 
 from .exactla import Echelon
-
-
-class _Node:
-    """The rows on a path of the grid's prefix tree: ``perp`` is a primitive
-    integer basis of the vectors orthogonal to them, and ``children`` maps
-    each value row tried below them to its node, or to None when the row
-    is dependent on them."""
-
-    __slots__ = ("perp", "children")
-
-    def __init__(self, perp):
-        self.perp = perp
-        self.children = {}
-
-
-class _Grid:
-    """The grid geometry of every search in the process: a prefix tree of
-    value rows with one root per n, and, per (vals, new_start), the count
-    of invertible last rows under each normal.  Past ``LIMIT`` entries in
-    all, what is computed is not kept."""
-
-    # full, about 3 MB at n = 12, where each search meets new geometry
-    LIMIT = 1 << 14
-
-    def __init__(self):
-        self.roots = {}
-        self.counts = {}
-        self.size = 0
-
-    def keep(self, table, key, value):
-        """Store value at table[key] while the memo has room; return it."""
-        if self.size < self.LIMIT:
-            table[key] = value
-            self.size += 1
-        return value
-
-
-_grid = _Grid()
-_UNSEEN = object()
 
 
 def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
@@ -138,21 +101,11 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     mirrored = _mirror_depths(n, equations) if signed else [False] * n
     rows = [None] * n  # value rows placed so far
     drows = [None] * n  # their digit rows
-    global _grid
-    if _grid.size >= _Grid.LIMIT:
-        _grid = _Grid()  # a full memo keeps nothing new, so the searches after it start afresh
-    grid = _grid
-    # nodes[d]: the grid's node of rows[:d], whose perp is a basis of the
-    # integer vectors orthogonal to rows[:d]; a row is independent of
-    # rows[:d] exactly when it is not orthogonal to all of them
-    nodes = [None] * n
-    nodes[0] = grid.roots.get(n)
-    if nodes[0] is None:
-        nodes[0] = grid.keep(grid.roots, n, _Node([tuple(int(r == c) for c in range(n)) for r in range(n)]))
+    # perps[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
+    # is independent of rows[:d] exactly when it is not orthogonal to all of them
+    perps = [None] * n
+    perps[0] = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     stage = (tuple(vals), new_start)
-    last_counts = grid.counts.get(stage)
-    if last_counts is None:
-        last_counts = grid.keep(grid.counts, stage, {})
     tested = 0
 
     def holds(depth):
@@ -179,26 +132,10 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
             return zip(product(range(nvals), repeat=n), product(vals, repeat=n))
         return _grid_points(pivots, n, vals, digit_of)
 
-    def last_rows(has_new):
-        """Invertible last rows under rows[:n - 1], with a digit new to the
-        stage unless ``has_new``, memoised on the rows' normal."""
-        (w,) = nodes[last].perp
-        if next(filter(None, w)) < 0:
-            w = tuple(map(neg, w))
-        key = (w, has_new)
-        count = last_counts.get(key)
-        if count is None:
-            count = nvals**n - _zeros(w, vals)
-            if not has_new:
-                count -= new_start**n - _zeros(w, vals[:new_start])
-            grid.keep(last_counts, key, count)
-        return count
-
-    def rows_before(drow, has_new):
-        """The rows last_rows(has_new) counts that come before ``drow``:
-        for each position p, those that agree with drow before p and are
-        smaller at p, counted by the dot products of their suffixes."""
-        (w,) = nodes[last].perp
+    def rows_before(w, drow, has_new):
+        """The rows _last_count(w, stage, has_new) counts that come before
+        ``drow``: for each position p, those that agree with drow before p
+        and are smaller at p, counted by the dot products of their suffixes."""
         count = 0
         s = 0  # w . the values of drow before p
         old = not has_new  # no digit of drow before p is new
@@ -225,26 +162,28 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         cut does."""
         nonlocal tested
         if depth == last:
-            (w,) = nodes[last].perp
+            (w,) = perps[last]
+            if next(filter(None, w)) < 0:
+                w = tuple(map(neg, w))  # one count for the normals w and -w
             for drow, row in solutions() if live else ():
                 # a tuple without a new digit belongs to an earlier stage
                 if not (has_new or max(drow) >= new_start) or not sum(map(mul, w, row)):
                     continue
                 rows[last] = row
                 if holds(last):
-                    before = rows_before(drow, has_new)
+                    before = rows_before(w, drow, has_new)
                     if tested + before >= budget:
                         return budget, None
                     tested += before + 1
                     drows[last] = drow
                     return tested, sum(drows, ())
-            tested += last_rows(has_new)
+            tested += _last_count(w, stage, has_new)
             return (budget, None) if tested >= budget else None
         # counts[row]: the candidates counted under each positive-leading
         # row, kept where a sign change fixing b has its first -1, or
         # anywhere in a counted subtree
         counts = {} if (mirrored[depth] if live else signed) else None
-        node = nodes[depth]
+        perp = perps[depth]
         for drow, row in zip(product(range(nvals), repeat=n), product(vals, repeat=n)):
             if counts is not None and next(filter(None, row), 0) < 0:
                 # the mirror of a subtree searched or counted without a hit
@@ -254,13 +193,10 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
                     if tested >= budget:
                         return budget, None
                 continue
-            child = node.children.get(row, _UNSEEN)
-            if child is _UNSEEN:
-                perp = _orthogonal(node.perp, row)
-                child = grid.keep(node.children, row, perp and _Node(perp))
-            if child is None:
+            below = _orthogonal(perp, row)
+            if below is None:
                 continue
-            nodes[depth + 1] = child
+            perps[depth + 1] = below
             start = tested
             rows[depth] = row
             drows[depth] = drow
@@ -426,9 +362,10 @@ def _grid_points(pivots, n, vals, digit_of):
     return points
 
 
+@lru_cache(maxsize=1 << 13)
 def _orthogonal(perp, row):
     """A primitive integer basis of the vectors in span(perp) orthogonal to
-    ``row``, or None when ``row`` is orthogonal to all of ``perp``."""
+    ``row``, as a tuple, or None when ``row`` is orthogonal to all of ``perp``."""
     dots = [sum(map(mul, k, row)) for k in perp]
     p = next((i for i, d in enumerate(dots) if d), None)
     if p is None:
@@ -440,7 +377,19 @@ def _orthogonal(perp, row):
             u = [dp * x - d * y for x, y in zip(k, kp)]
             g = gcd(*u)
             out.append(tuple(x // g for x in u))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 13)
+def _last_count(w, stage, has_new):
+    """The invertible last rows under rows with the normal w: the rows v
+    over the stage's values with w·v != 0, and with a digit new to the
+    stage unless ``has_new``; stage is (vals, new_start)."""
+    vals, new_start = stage
+    count = len(vals) ** len(w) - _zeros(w, vals)
+    if not has_new:
+        count -= new_start ** len(w) - _zeros(w, vals[:new_start])
+    return count
 
 
 def _zeros(w, vals):

@@ -164,8 +164,10 @@ class Subspace:
     """Subspace of rational n-space in canonical (RREF basis) form.
 
     Equality and hashing read the canonical basis, so two values are equal
-    exactly when they are the same subspace.  The zero subspace keeps its
-    ambient dimension with an empty basis.
+    exactly when they are the same subspace; the constructor raises
+    ``ValueError`` for a basis whose width is not ``ambient_dim`` or that
+    is not that basis.  The zero subspace keeps its ambient dimension with
+    an empty basis.
 
     A subspace that elimination returns (``Echelon.subspace``, ``span``,
     ``kernel``, ``full_subspace``) knows its dimension at once and keeps the
@@ -178,10 +180,15 @@ class Subspace:
     __slots__ = ("ambient_dim", "dim", "_basis", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
+        if basis.cols != ambient_dim:
+            raise ValueError("basis width does not match ambient dimension")
+        rows = span(basis.entries, ambient_dim)._integer_rows()
+        if _canonical_basis(rows, ambient_dim) != basis:
+            raise ValueError("basis is not in reduced row echelon form")
         self.ambient_dim = ambient_dim
         self.dim = basis.rows
         self._basis = basis
-        self._rows = None
+        self._rows = rows
 
     @property
     def basis(self) -> Matrix:
@@ -192,8 +199,6 @@ class Subspace:
     def _integer_rows(self) -> tuple:
         """The basis rows scaled to primitive integers, as tuples of ints;
         the first nonzero entry of each, at its pivot, is positive."""
-        if self._rows is None:
-            self._rows = span(self._basis.entries, self.ambient_dim)._integer_rows()
         return self._rows
 
     def is_zero(self) -> bool:

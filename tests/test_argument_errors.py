@@ -7,7 +7,7 @@ import pytest
 from lietriple.catalog import from_operators
 from lietriple.core import TripleSystem, derived_subspace, is_ideal, transform
 from lietriple.embed import inner_derivation
-from lietriple.exactla import Matrix, full_subspace, solve
+from lietriple.exactla import Matrix, Subspace, full_subspace, solve
 from lietriple.formats import serialize_lie
 from lietriple.lie import Grading, LieAlgebra, check_grading
 from lietriple.witness import search_witness
@@ -16,6 +16,16 @@ T2 = TripleSystem.from_entries(2, {(0, 1, 0): (0, 1)})
 G2 = LieAlgebra.from_entries(2, {(0, 1): (1, 0)})
 I2, I3 = Matrix.identity(2), Matrix.identity(3)
 ZERO2 = Matrix.zeros(2, 3)
+
+
+def t2_with(x):
+    """T2's dense tensor with its entry c[0][1][0][1] = 1 replaced by x."""
+    return ((T2.c[0][0], ((0, x), T2.c[0][1][1])), T2.c[1])
+
+
+def g2_with(x):
+    """G2's dense table with its entry f[0][1][0] = 1 replaced by x."""
+    return ((G2.f[0][0], (x, 0)), G2.f[1])
 
 
 @pytest.mark.parametrize(
@@ -34,11 +44,17 @@ ZERO2 = Matrix.zeros(2, 3)
         pytest.param(
             lambda: LieAlgebra.abelian(-1), ValueError, "bracket tensor shape does not match dimension", id="lie-dim-1"
         ),
+        (lambda: TripleSystem(2, t2_with(1.0)), ValueError, "table entry 1.0 is not an int or a Fraction"),
+        (lambda: TripleSystem(2, t2_with("1")), ValueError, "table entry '1' is not an int or a Fraction"),
+        (lambda: LieAlgebra(2, g2_with(0.5)), ValueError, "table entry 0.5 is not an int or a Fraction"),
+        (lambda: LieAlgebra(2, g2_with("x")), ValueError, "table entry 'x' is not an int or a Fraction"),
         (lambda: transform(T2, ZERO2), ValueError, "transform matrix must be n x n"),
         (lambda: Grading((1, 0)), ValueError, "grading signs must be +1 or -1"),
         (lambda: check_grading(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: serialize_lie(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: Matrix.from_rows([]), ValueError, "column count required for a matrix with no rows"),
+        (lambda: Subspace(3, Matrix.from_rows([[1, 0]])), ValueError, "basis width does not match ambient dimension"),
+        (lambda: Subspace(2, Matrix.from_rows([[2, 0]])), ValueError, "basis is not in reduced row echelon form"),
         (lambda: solve(ZERO2, (1, 0, 0)), ValueError, "dimension mismatch"),
         (lambda: ZERO2.vecmat((1, 0, 0)), ValueError, "dimension mismatch"),
         (lambda: ZERO2 * I2, ValueError, "dimension mismatch"),

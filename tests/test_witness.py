@@ -323,56 +323,53 @@ def test_last_row_system_read_off_the_placed_rows(by_label, direct_systems):
     assert {None, 0, 1, 2, 3, 5} <= ranks
 
 
+def clear_grid_caches():
+    """Empty both caches of the grid geometry."""
+    wpy._orthogonal.cache_clear()
+    wpy._last_count.cache_clear()
+
+
 def test_grid_memo_cold_and_warm_agree(by_label, monkeypatch):
     """Every stage of the tied pairs, and two reorderings of the stage-1
-    values, gives the same (tested, digits) from an empty memo of the grid
-    geometry as from the memo those searches filled; the warm tied
-    searches compute no geometry."""
+    values, gives the same (tested, digits) from empty caches of the grid
+    geometry as from the caches those searches filled; the warm tied
+    searches compute no orthogonal basis."""
     stages = []
     kernel = wpy.stage_search
     monkeypatch.setattr(wpy, "stage_search", lambda *args: stages.append(args) or kernel(*args))
-    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+    clear_grid_caches()
     for pair in TIED_GROUPS:
         for a, b in (pair, pair[::-1]):
             search_witness(by_label[a].system, by_label[b].system, 20000)
-    # the same values in other orders: the memo is keyed by value rows
+    # the same values in other orders: the bases are keyed by value rows
     n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
     stages += [(n, a_entries, b_flat, vals, 0, 20000, m_lhs, m_rhs) for vals in ([0, -1, 1], [1, -1, 0])]
-    calls = []
-    orthogonal = wpy._orthogonal
-    monkeypatch.setattr(wpy, "_orthogonal", lambda *args: calls.append(None) or orthogonal(*args))
+    misses = wpy._orthogonal.cache_info().misses
     warm = [kernel(*args) for args in stages[:-2]]
-    assert not calls
+    assert wpy._orthogonal.cache_info().misses == misses
     warm += [kernel(*args) for args in stages[-2:]]
     for args, got in zip(stages, warm):
-        monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+        clear_grid_caches()
         assert kernel(*args) == got, (args[0], args[3:6])
-    assert calls
 
 
-def grid_entries(grid):
-    """The entries of a grid memo, counted off its tables."""
-    nodes = list(grid.roots.values())
-    entries = len(nodes) + len(grid.counts) + sum(map(len, grid.counts.values()))
-    while nodes:
-        node = nodes.pop()
-        entries += len(node.children)
-        nodes += [child for child in node.children.values() if child is not None]
-    return entries
-
-
-def test_grid_memo_stays_within_its_limit(by_label, monkeypatch):
+def test_grid_memo_stays_within_its_limit(by_label):
     """The changed 12-sphere search at 20000 meets more geometry than the
-    memo keeps (44,304 rows tested for independence); the memo fills to its
-    limit and no further, and the search still misses.  The next search
-    starts a new memo and keeps its geometry."""
-    grid = wpy._Grid()
-    monkeypatch.setattr(wpy, "_grid", grid)
+    caches keep (44,304 rows tested for independence); the caches fill to
+    their limit and no further, and the search still misses.  The
+    split-1b/split-1c miss after it keeps its geometry: run again, it
+    computes no orthogonal basis."""
+    clear_grid_caches()
     a = sphere_system(12)
     assert search_witness(a, transform(a, random_invertible(random.Random(1), 12, -1, 1, (1,))), 20000) is None
-    assert grid_entries(grid) == grid.size == wpy._Grid.LIMIT
-    assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
-    assert wpy._grid is not grid and 0 < grid_entries(wpy._grid) == wpy._grid.size < wpy._Grid.LIMIT
+    info = wpy._orthogonal.cache_info()
+    assert info.misses > info.maxsize == info.currsize
+    assert wpy._last_count.cache_info().currsize <= wpy._last_count.cache_info().maxsize
+    split = by_label["split-1b"].system, by_label["split-1c"].system
+    assert search_witness(*split, 20000) is None
+    misses = wpy._orthogonal.cache_info().misses
+    assert search_witness(*split, 20000) is None
+    assert wpy._orthogonal.cache_info().misses == misses
 
 
 def mirror_depths(n, a_entries, b_flat):
@@ -536,40 +533,24 @@ def test_mirror_needs_sign_paired_values(by_label):
         assert_same(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
 
 
-def test_mirror_work_guard(by_label, monkeypatch):
-    """The split-1b/split-1c miss at the default budget, from an empty
-    memo of the grid geometry, tests independence of 217 rows; searching
-    the mirrored subtrees too, it tested 767."""
-    calls = []
-    orthogonal = wpy._orthogonal
-
-    def counted(*args):
-        calls.append(None)
-        return orthogonal(*args)
-
-    monkeypatch.setattr(wpy, "_orthogonal", counted)
-    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+def test_mirror_work_guard(by_label):
+    """The split-1b/split-1c miss at the default budget, from empty caches
+    of the grid geometry, computes 213 orthogonal bases; searching the
+    mirrored subtrees too, it computes 762."""
+    clear_grid_caches()
     assert search_witness(by_label["split-1b"].system, by_label["split-1c"].system, 20000) is None
-    assert len(calls) <= 300
+    assert wpy._orthogonal.cache_info().misses <= 300
 
 
-def test_counted_subtree_work_guard(monkeypatch):
+def test_counted_subtree_work_guard():
     """A miss against a seeded {0, ±1} change of the 6-sphere at budget
-    10**6 counts nearly every candidate in cut subtrees; from an empty
-    memo of the grid geometry, mirroring inside them, it tests
-    independence of 1247 rows, and 2429 without."""
-    calls = []
-    orthogonal = wpy._orthogonal
-
-    def counted(*args):
-        calls.append(None)
-        return orthogonal(*args)
-
-    monkeypatch.setattr(wpy, "_orthogonal", counted)
-    monkeypatch.setattr(wpy, "_grid", wpy._Grid())
+    10**6 counts nearly every candidate in cut subtrees; from empty caches
+    of the grid geometry, mirroring inside them, it computes 395 orthogonal
+    bases, and 776 without."""
+    clear_grid_caches()
     a = sphere_system(6)
     assert search_witness(a, transform(a, random_invertible(random.Random(1), 6, -1, 1, (1,))), 10**6) is None
-    assert len(calls) <= 1500
+    assert wpy._orthogonal.cache_info().misses <= 450
 
 
 def test_search_witness_zero_dimension_returns():
