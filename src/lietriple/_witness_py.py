@@ -47,8 +47,11 @@ least-recently-used cache of 8,192 entries shared by every search in
 the process (about 1.1 MB in all when a 12-dimensional search has filled
 them).
 
-All arithmetic is over Python ints (the driver pre-scales every rational
-input), which are exact at any size.
+All arithmetic is over Python ints, which are exact at any size.  The
+kernel reads the two systems' integer tables as ``Table._integer`` keeps
+them, each system scaled by its least common denominator, and the driver
+scales the stage's values to integers and passes the multipliers that
+balance the two sides.
 """
 
 from __future__ import annotations
@@ -61,14 +64,13 @@ from operator import mul, neg
 from .exactla import Echelon
 
 
-def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
+def stage_search(sa, sb, vals, new_start, budget, m_lhs, m_rhs):
     """Scan one stage of the candidate enumeration.
 
-    n          matrix size
-    a_entries  nonzero integer tensor entries of the source system as
-               (a, b, c, l, value) with a < b, pre-scaled
-    b_flat     full integer tensor of the target system, index
-               ((i*n + j)*n + k)*n + l, pre-scaled
+    sa, sb     the source and target systems' integer tables, as kept by
+               ``Table._integer``: sa[i][j][k] holds the pairs (l, value)
+               of the nonzero coordinates of (e_i, e_j, e_k), pre-scaled;
+               n = len(sa) is the matrix size
     vals       candidate entry values for this stage, pre-scaled integers,
                in canonical order; subtrees are mirrored only when each
                -v is a value after v > 0, on the same side of new_start
@@ -85,12 +87,16 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
     when the budget runs out first, or (all of them, None).
     """
     budget = max(budget, 1)  # the odometer checks one candidate even at budget 0
-    nvals = len(vals)
+    n, nvals = len(sa), len(vals)
     last = n - 1
-    equations = _equations_by_row(n, a_entries, b_flat)
+    equations = _equations_by_row(sb)
     # the equations on the last row that are linear in it
     linear = [eq for eq in equations[last] if not eq[1] == eq[2] == last]
-    pairs = _pairs(a_entries)
+    # the nonzero wedges of the source: [(a, b, [(c, l, value), ...]), ...], a < b
+    pairs = [
+        (a, b, [(c, l, x) for c, p in enumerate(sa[a][b]) for l, x in p])
+        for a in range(n) for b in range(a + 1, n) if any(sa[a][b])
+    ]
     digit_of = {v: d for d, v in enumerate(vals)}
     # negating a row keeps it in the stage, and new to it or not, when
     # every -v is a value on the same side of new_start, after v > 0
@@ -98,7 +104,7 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         -v in digit_of and (d < new_start) == (digit_of[-v] < new_start) and (v <= 0 or d < digit_of[-v])
         for d, v in enumerate(vals)
     )
-    mirrored = _mirror_depths(n, equations) if signed else [False] * n
+    mirrored = _mirror_depths(equations) if signed else [False] * n
     rows = [None] * n  # value rows placed so far
     drows = [None] * n  # their digit rows
     # perps[d]: a basis of the integer vectors orthogonal to rows[:d]; a row
@@ -125,12 +131,12 @@ def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
         last row, as (digits, values) in digit order: every row, lazily,
         when those equations constrain no coordinate."""
         system = _last_row_system(n, linear, pairs, rows, m_lhs, m_rhs)
-        pivots = None if system is None else _reduced_echelon(system, n)
-        if pivots is None:
+        ech = None if system is None else Echelon(n + 1, system)
+        if ech is None or n in ech.pivots:
             return []
-        if not pivots:
+        if not ech.pivots:
             return zip(product(range(nvals), repeat=n), product(vals, repeat=n))
-        return _grid_points(pivots, n, vals, digit_of)
+        return _grid_points(dict(zip(ech.pivots, ech.rows)), n, vals, digit_of)
 
     def rows_before(w, drow, has_new):
         """The rows _last_count(w, stage, has_new) counts that come before
@@ -277,15 +283,7 @@ def _last_row_system(n, linear, pairs, rows, m_lhs, m_rhs):
     return system
 
 
-def _pairs(a_entries):
-    """a_entries grouped by (a, b): [(a, b, [(c, l, value), ...]), ...]."""
-    grouped = {}
-    for a, b, c, l, val in a_entries:
-        grouped.setdefault((a, b), []).append((c, l, val))
-    return [(a, b, terms) for (a, b), terms in grouped.items()]
-
-
-def _equations_by_row(n, a_entries, b_flat):
+def _equations_by_row(sb):
     """Equation (i, j, k), i < j, of transform(a, T) == b, filed under the
     last row it reads: with rows of T the new basis vectors it is, for
     every l,
@@ -293,18 +291,18 @@ def _equations_by_row(n, a_entries, b_flat):
         m_lhs * sum_{a<b,c} (T[i][a]T[j][b] - T[i][b]T[j][a]) T[k][c] A[abcl]
             == m_rhs * sum_d B[ijkd] T[d][l]
 
-    so it reads rows i, j, k and every d with B[ijkd] != 0."""
+    so it reads rows i, j, k and every d with B[ijkd] != 0, the pairs
+    (d, B[ijkd]) of sb[i][j][k]."""
+    n = len(sb)
     by_row = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(n):
-                base = ((i * n + j) * n + k) * n
-                brow = [(d, b_flat[base + d]) for d in range(n) if b_flat[base + d]]
+            for k, brow in enumerate(sb[i][j]):
                 by_row[max([j, k] + [d for d, _ in brow])].append((i, j, k, brow))
     return by_row
 
 
-def _mirror_depths(n, equations):
+def _mirror_depths(equations):
     """For each depth d, whether some sign change diag(s) of the basis
     fixes b and has its first -1 at row d.
 
@@ -327,14 +325,7 @@ def _mirror_depths(n, equations):
                     basis[h] = mask
                     break
                 mask ^= basis[h]
-    return [d not in basis for d in range(n)]
-
-
-def _reduced_echelon(system, n):
-    """The ``Echelon`` rows of the integer system [a_0 .. a_{n-1} | b] of a·x = b
-    as {pivot column: primitive row}, or None when it has no solution."""
-    ech = Echelon(n + 1, system)
-    return None if n in ech.pivots else dict(zip(ech.pivots, ech.rows))
+    return [d not in basis for d in range(len(equations))]
 
 
 def _grid_points(pivots, n, vals, digit_of):

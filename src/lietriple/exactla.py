@@ -101,7 +101,7 @@ class Matrix:
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> Matrix:
         rows = tuple(vec(r) for r in rows)
-        if rows:
+        if cols is None and rows:
             cols = len(rows[0])
         elif cols is None:
             raise ValueError("column count required for a matrix with no rows")

@@ -14,9 +14,10 @@ Candidate matrices are enumerated in a fixed global order:
 * Singular matrices are skipped without counting; every invertible
   candidate tested counts against the budget.
 
-The driver below scales both tensors and each stage's values to
-integers; ``_witness_py.stage_search`` scans one stage over Python ints,
-so the products stay exact at any size.
+The driver below hands ``_witness_py.stage_search`` both systems' integer
+tables (``_integer``: a scaled by da, b by db) and each stage's values
+scaled to integers by their common denominator; the kernel scans one
+stage over Python ints, so the products stay exact at any size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import _tensor, _witness_py
+from . import _witness_py
 from .core import TripleSystem
 from .exactla import Matrix
 
@@ -55,21 +56,6 @@ def value_prefix(stage: int) -> list[Fraction]:
     return out
 
 
-def _kernel_args(a: TripleSystem, b: TripleSystem) -> tuple:
-    """(n, a_entries, b_flat, m_lhs, m_rhs) of ``stage_search`` for integer
-    candidate values: a scaled by da and b by db, with m_lhs = db, m_rhs = da."""
-    n = a.dim
-    da, sa = a._integer
-    db, sb = b._integer
-    a_entries = [(i, j, k, l, x) for (i, j, k), pairs in _tensor.upper(sa, 3) for l, x in pairs]
-    b_flat = [0] * n**4
-    for (i, j, k), pairs in _tensor.upper(sb, 3):
-        for l, x in pairs:
-            b_flat[((i * n + j) * n + k) * n + l] = x
-            b_flat[((j * n + i) * n + k) * n + l] = -x
-    return n, a_entries, b_flat, db, da
-
-
 def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | None:
     """First basis-change matrix T (in enumeration order) with
     transform(a, T) == b, scanning at most ``budget`` invertible candidates.
@@ -81,7 +67,8 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
     if a.dim == 0:
         # the empty basis change is the one candidate, and it is invertible
         return Matrix.identity(0) if budget >= 1 else None
-    n, a_entries, b_flat, db, da = _kernel_args(a, b)
+    n = a.dim
+    (da, sa), (db, sb) = a._integer, b._integer
     remaining = budget
     stage = 1
     prev_count = 0
@@ -89,9 +76,7 @@ def search_witness(a: TripleSystem, b: TripleSystem, budget: int) -> Matrix | No
         vals = value_prefix(stage)
         scale = lcm(*[v.denominator for v in vals])
         vals_scaled = [int(v * scale) for v in vals]
-        tested, digits = _witness_py.stage_search(
-            n, a_entries, b_flat, vals_scaled, prev_count, remaining, db, da * scale * scale
-        )
+        tested, digits = _witness_py.stage_search(sa, sb, vals_scaled, prev_count, remaining, db, da * scale * scale)
         remaining -= tested
         if digits is not None:
             rows = [

@@ -53,6 +53,7 @@ def g2_with(x):
         (lambda: check_grading(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: serialize_lie(G2, Grading((1,))), ValueError, "grading length does not match algebra dimension"),
         (lambda: Matrix.from_rows([]), ValueError, "column count required for a matrix with no rows"),
+        (lambda: Matrix.from_rows([[1, 2]], 3), ValueError, "entry grid does not match declared shape"),
         (lambda: Subspace(3, Matrix.from_rows([[1, 0]])), ValueError, "basis width does not match ambient dimension"),
         (lambda: Subspace(2, Matrix.from_rows([[2, 0]])), ValueError, "basis is not in reduced row echelon form"),
         (lambda: solve(ZERO2, (1, 0, 0)), ValueError, "dimension mismatch"),

@@ -5,7 +5,9 @@ solves for the last row, and counts the invertible candidates of every
 cut subtree and of every last row it solved past without visiting them;
 ``witness_reference.stage_search`` is the original odometer, which
 visits and checks every invertible candidate.  Both must return the same
-``(tested, digits)`` for every call.
+``(tested, digits)`` for every call: the kernel reads the two systems'
+integer tables, and ``witness_reference.flat`` lays them out for the
+odometer.
 """
 
 import random
@@ -20,7 +22,7 @@ import lietriple._witness_py as wpy
 import witness_reference as ref
 from lietriple.core import TripleSystem, direct_sum, transform
 from lietriple.exactla import Echelon, Matrix
-from lietriple.witness import _kernel_args, search_witness
+from lietriple.witness import search_witness
 from util import random_invertible, sphere_system
 
 TIED_GROUPS = [
@@ -34,6 +36,26 @@ TIED_GROUPS = [
 ISOMORPHIC_GROUPS = [TIED_GROUPS[1], TIED_GROUPS[2], TIED_GROUPS[5]]
 
 
+def kernel_args(a, b):
+    """(sa, sb, m_lhs, m_rhs) of the kernel for integer candidate values:
+    the integer tables of a, scaled by da, and of b, scaled by db, with
+    m_lhs = db and m_rhs = da."""
+    (da, sa), (db, sb) = a._integer, b._integer
+    return sa, sb, db, da
+
+
+def odometer(sa, sb, *args):
+    """The reference's (tested, digits) for the kernel's arguments."""
+    return ref.stage_search(*ref.flat(sa, sb), *args)
+
+
+def reduced(system, n):
+    """The ``Echelon`` rows of the integer system [a_0 .. a_{n-1} | b] of a·x = b
+    as {pivot column: primitive row}, or None when it has no solution."""
+    ech = Echelon(n + 1, system)
+    return None if n in ech.pivots else dict(zip(ech.pivots, ech.rows))
+
+
 @pytest.fixture
 def driver_calls(monkeypatch):
     """Run ``search_witness``, checking every kernel call it makes against
@@ -43,7 +65,7 @@ def driver_calls(monkeypatch):
 
     def checked(*args):
         got = kernel(*args)
-        assert got == ref.stage_search(*args), (args[0], args[3:6])
+        assert got == odometer(*args), (len(args[0]), args[2:5])
         calls.append((args, got))
         return got
 
@@ -51,21 +73,21 @@ def driver_calls(monkeypatch):
     return calls
 
 
-def assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
-    args = (n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
+def assert_same(sa, sb, vals, new_start, budget, m_lhs, m_rhs):
+    args = (sa, sb, vals, new_start, budget, m_lhs, m_rhs)
     got = wpy.stage_search(*args)
-    assert got == ref.stage_search(*args), (n, vals, new_start, budget)
+    assert got == odometer(*args), (len(sa), vals, new_start, budget)
     return got
 
 
 def assert_budgets_around_hits(hits, rng):
     """Budget N returns the hit at candidate N, N - 1 runs out one short of
     it, and seeded budgets below N stop part-way."""
-    for n, a_entries, b_flat, vals, new_start, _, m_lhs, m_rhs in hits:
-        tested, digits = ref.stage_search(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
+    for sa, sb, vals, new_start, _, m_lhs, m_rhs in hits:
+        tested, digits = odometer(sa, sb, vals, new_start, 10**6, m_lhs, m_rhs)
         budgets = [tested, tested - 1] + [rng.randint(1, tested - 1) for _ in range(3)]
         for budget in budgets:
-            got = assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
+            got = assert_same(sa, sb, vals, new_start, budget, m_lhs, m_rhs)
             assert got == ((tested, digits) if budget == tested else (budget, None))
 
 
@@ -76,7 +98,7 @@ def test_kernel_matches_reference_on_tied_pairs(by_label, driver_calls):
         for a, b in (pair, pair[::-1]):
             search_witness(by_label[a].system, by_label[b].system, 4000)
     assert sum(got[1] is not None for _, got in driver_calls) == 6
-    assert any(args[4] > 0 for args, _ in driver_calls)
+    assert any(args[3] > 0 for args, _ in driver_calls)
 
 
 def test_kernel_matches_reference_past_the_first_stage(by_label, driver_calls):
@@ -86,7 +108,7 @@ def test_kernel_matches_reference_past_the_first_stage(by_label, driver_calls):
     a = by_label["dim2-1"].system
     search_witness(a, transform(a, Matrix.from_rows([[2, 1], [1, 1]])), 25000)
     search_witness(by_label["dim2-2"].system, by_label["dim2-3"].system, 2500)
-    assert [args[4] for args, _ in driver_calls] == [0, 3, 0, 3, 0, 3, 7]
+    assert [args[3] for args, _ in driver_calls] == [0, 3, 0, 3, 0, 3, 7]
     assert [got for _, got in driver_calls] == [
         (11808, None),
         (692, None),
@@ -133,36 +155,38 @@ def test_kernel_budgets_around_hits_and_inside_cut_subtrees(by_label, driver_cal
 
 def test_kernel_stage_with_new_start(by_label):
     # stage 1 alone: the first automorphism of dim2-1 over {0, 1, -1}
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["dim2-1"].system, by_label["dim2-1"].system)
-    assert assert_same(n, a_entries, b_flat, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)[1] is not None
+    sa, sb, m_lhs, m_rhs = kernel_args(by_label["dim2-1"].system, by_label["dim2-1"].system)
+    assert assert_same(sa, sb, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)[1] is not None
     # stage 2 alone, with tuples over the stage-1 values excluded, scaled by 2
     vals = [0, 2, -2, 4, -4, 1, -1]
     for a, b, budget in (("dim3-III+", "dim3-IV+", 3000), ("split-5", "split-6", 3000), ("dim2-1", "dim2-1", 10**6)):
-        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label[a].system, by_label[b].system)
-        assert_same(n, a_entries, b_flat, vals, 3, budget, m_lhs, m_rhs * 4)
+        sa, sb, m_lhs, m_rhs = kernel_args(by_label[a].system, by_label[b].system)
+        assert_same(sa, sb, vals, 3, budget, m_lhs, m_rhs * 4)
     # a whole 3-dim stage whose only new value is 2: subtrees cut under
     # prefixes of old values count only the completions holding a 2
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-3"].system, by_label["split-4"].system)
-    assert_same(n, a_entries, b_flat, [0, 1, 2], 2, 10**6, m_lhs, m_rhs)
+    sa, sb, m_lhs, m_rhs = kernel_args(by_label["split-3"].system, by_label["split-4"].system)
+    assert_same(sa, sb, [0, 1, 2], 2, 10**6, m_lhs, m_rhs)
 
 
 def test_kernel_dimension_one():
-    for b_flat in ([0], [5]):
+    # the zero table, and a literal table whose one cell (e_0, e_0, e_0) is 5·e_0
+    zero = TripleSystem.abelian(1)._integer[1]
+    for sb in (zero, (((((0, 5),),),),)):
         for vals, new_start in (([0, 1, -1], 0), ([0, 2, -2, 4, -4, 1, -1], 3)):
             for budget in (1, 2, 10):
-                assert_same(1, [], b_flat, vals, new_start, budget, 1, 1)
+                assert_same(zero, sb, vals, new_start, budget, 1, 1)
 
 
 def test_kernel_dimension_four():
     # entries in {0, 1}: 2^16 candidate tuples, 22,560 of them invertible
     a = sphere_system(4)
     b = transform(a, Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]]))
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
-    tested, digits = assert_same(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs)
+    sa, sb, m_lhs, m_rhs = kernel_args(a, b)
+    tested, digits = assert_same(sa, sb, [0, 1], 0, 10**6, m_lhs, m_rhs)
     assert digits is not None
-    assert_same(n, a_entries, b_flat, [0, 1], 0, tested - 1, m_lhs, m_rhs)
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, TripleSystem.abelian(4))
-    assert assert_same(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs) == (22560, None)
+    assert_same(sa, sb, [0, 1], 0, tested - 1, m_lhs, m_rhs)
+    sa, sb, m_lhs, m_rhs = kernel_args(a, TripleSystem.abelian(4))
+    assert assert_same(sa, sb, [0, 1], 0, 10**6, m_lhs, m_rhs) == (22560, None)
 
 
 @pytest.fixture
@@ -171,17 +195,19 @@ def last_row_solves(monkeypatch):
     equations ({} when they constrain nothing, None when they have no
     solution) and, for a solution set, its grid points."""
     record = {"systems": [], "points": []}
-    reduce, grid = wpy._reduced_echelon, wpy._grid_points
+    read, grid = wpy._last_row_system, wpy._grid_points
 
-    def reduced(*args):
-        record["systems"].append(reduce(*args))
-        return record["systems"][-1]
+    def system(n, *args):
+        got = read(n, *args)
+        if got is not None:
+            record["systems"].append(reduced(got, n))
+        return got
 
     def points(*args):
         record["points"].append(grid(*args))
         return record["points"][-1]
 
-    monkeypatch.setattr(wpy, "_reduced_echelon", reduced)
+    monkeypatch.setattr(wpy, "_last_row_system", system)
     monkeypatch.setattr(wpy, "_grid_points", points)
     return record
 
@@ -201,8 +227,8 @@ def test_last_row_solve_budgets_around_2dim_hits(by_label, driver_calls, last_ro
                 break
         assert search_witness(t, transform(t, T), 20000) is not None, label
     hits = [args for args, (_, digits) in driver_calls if digits is not None]
-    assert len(hits) == 5 and all(args[4] == 3 for args in hits)
-    old_prefix = [got for args, got in driver_calls if got[1] is not None and max(got[1][:2]) < args[4]]
+    assert len(hits) == 5 and all(args[3] == 3 for args in hits)
+    old_prefix = [got for args, got in driver_calls if got[1] is not None and max(got[1][:2]) < args[3]]
     assert len(old_prefix) == 3
     # every last row was solved, none scanned
     assert last_row_solves["systems"] and {} not in last_row_solves["systems"]
@@ -213,7 +239,7 @@ def test_last_row_solve_2dim_misses_across_stages(by_label, driver_calls, last_r
     """An n = 2 miss whose last rows are solved, each to one point or none,
     through stages 1 to 3 and into stage 4."""
     assert search_witness(by_label["dim2-2"].system, by_label["dim2-3"].system, 50000) is None
-    assert [(args[4], got) for args, got in driver_calls] == [
+    assert [(args[3], got) for args, got in driver_calls] == [
         (0, (48, None)),
         (3, (2032, None)),
         (7, (46304, None)),
@@ -260,13 +286,14 @@ def test_last_row_scan_without_a_pivot(by_label, last_row_solves):
     does."""
     sources = (TripleSystem.abelian(2), TripleSystem.abelian(3), by_label["dim2-4a"].system, by_label["dim3-II"].system)
     for source in sources:
-        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(source, TripleSystem.abelian(source.dim))
+        sa, sb, m_lhs, m_rhs = kernel_args(source, TripleSystem.abelian(source.dim))
+        n, a_entries, b_flat = ref.flat(sa, sb)
         # the whole of a 3-dim stage 2 is 7**9 tuples for the reference
         stages = [([0, 1, -1], 0)] + [([0, 2, -2, 4, -4, 1, -1], 3)] * (n == 2)
         for vals, new_start in stages:
             tested, digits = ref.stage_search(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
             for budget in {1, 2, tested - 1, tested, tested + 1} - {0}:
-                assert_same(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs)
+                assert_same(sa, sb, vals, new_start, budget, m_lhs, m_rhs)
             assert (digits is None) == bool(a_entries)
     assert {} in last_row_solves["systems"]
 
@@ -283,8 +310,8 @@ def direct_systems(monkeypatch):
 
     def compared(n, linear, pairs, rows, m_lhs, m_rhs):
         got = read(n, linear, pairs, rows, m_lhs, m_rhs)
-        want = wpy._reduced_echelon(ref.last_row_system(n, linear, pairs, rows, m_lhs, m_rhs), n)
-        assert (None if got is None else wpy._reduced_echelon(got, n)) == want, (n, rows[: n - 1])
+        want = reduced(ref.last_row_system(n, linear, pairs, rows, m_lhs, m_rhs), n)
+        assert (None if got is None else reduced(got, n)) == want, (n, rows[: n - 1])
         checked.append((got, want))
         return got
 
@@ -304,12 +331,12 @@ def test_last_row_system_read_off_the_placed_rows(by_label, direct_systems):
             search_witness(by_label[a].system, by_label[b].system, 4000)
     a = sphere_system(4)
     for b in (transform(a, Matrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]])), TripleSystem.abelian(4)):
-        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
-        wpy.stage_search(n, a_entries, b_flat, [0, 1], 0, 10**6, m_lhs, m_rhs)
+        sa, sb, m_lhs, m_rhs = kernel_args(a, b)
+        wpy.stage_search(sa, sb, [0, 1], 0, 10**6, m_lhs, m_rhs)
     v, abelian = by_label["dim3-V+"].system, TripleSystem.abelian(3)
     for a, b in ((v, v), (abelian, v), (abelian, abelian)):
-        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
-        wpy.stage_search(n, a_entries, b_flat, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)
+        sa, sb, m_lhs, m_rhs = kernel_args(a, b)
+        wpy.stage_search(sa, sb, [0, 1, -1], 0, 10**6, m_lhs, m_rhs)
     # rows e6, e5, e4, e3, then two seeded rows: a hit after a few thousand
     # candidates, its prefix live
     rng = random.Random(6)
@@ -342,15 +369,15 @@ def test_grid_memo_cold_and_warm_agree(by_label, monkeypatch):
         for a, b in (pair, pair[::-1]):
             search_witness(by_label[a].system, by_label[b].system, 20000)
     # the same values in other orders: the bases are keyed by value rows
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
-    stages += [(n, a_entries, b_flat, vals, 0, 20000, m_lhs, m_rhs) for vals in ([0, -1, 1], [1, -1, 0])]
+    sa, sb, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    stages += [(sa, sb, vals, 0, 20000, m_lhs, m_rhs) for vals in ([0, -1, 1], [1, -1, 0])]
     misses = wpy._orthogonal.cache_info().misses
     warm = [kernel(*args) for args in stages[:-2]]
     assert wpy._orthogonal.cache_info().misses == misses
     warm += [kernel(*args) for args in stages[-2:]]
     for args, got in zip(stages, warm):
         clear_grid_caches()
-        assert kernel(*args) == got, (args[0], args[3:6])
+        assert kernel(*args) == got, (len(args[0]), args[2:5])
 
 
 def test_grid_memo_stays_within_its_limit(by_label):
@@ -372,9 +399,9 @@ def test_grid_memo_stays_within_its_limit(by_label):
     assert wpy._orthogonal.cache_info().misses == misses
 
 
-def mirror_depths(n, a_entries, b_flat):
+def mirror_depths(sb):
     """The kernel's depths with a sign change fixing the target b."""
-    return wpy._mirror_depths(n, wpy._equations_by_row(n, a_entries, b_flat))
+    return wpy._mirror_depths(wpy._equations_by_row(sb))
 
 
 def sign_change_depths(t):
@@ -404,10 +431,10 @@ def test_mirror_depths_match_a_scan_of_sign_changes(by_label):
     changed = [transform(t, random_invertible(rng, t.dim)) for t in catalog + spheres[:4]]
     sums = [direct_sum(line, t) for t in catalog] + [direct_sum(t, line) for t in catalog]
     for t in catalog + spheres + changed + sums:
-        got = mirror_depths(*_kernel_args(t, t)[:3])
+        got = mirror_depths(t._integer[1])
         assert got == sign_change_depths(t), t.dim
         assert got[0]  # -I fixes every b
-    got = {label: mirror_depths(*_kernel_args(e.system, e.system)[:3]) for label, e in by_label.items()}
+    got = {label: mirror_depths(e.system._integer[1]) for label, e in by_label.items()}
     assert sum(all(m) for m in got.values()) == 15
     assert [label for label, m in got.items() if not m[1]] == ["dim3-II", "dim3-VI"]
     assert [label for label, m in got.items() if m[1:] == [True, False]] == [
@@ -423,12 +450,12 @@ def test_mirror_budgets_inside_skipped_subtrees(by_label):
     is counted from that of (0, 1, 0) instead of searched; and (0, 0, 1)
     has 48 * 9 = 432 invertible completions, so candidates 433-864 lie
     under (0, 0, -1), counted from the subtree of (0, 0, 1)."""
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
-    assert mirror_depths(n, a_entries, b_flat) == [True] * 3
+    sa, sb, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    assert mirror_depths(sb) == [True] * 3
     rng = random.Random(55)
     budgets = list(range(1, 73)) + [433, 434, 863, 864, 865, 10**6]
     for budget in budgets + [rng.randint(435, 862) for _ in range(3)]:
-        assert_same(n, a_entries, b_flat, [0, 1, -1], 0, budget, m_lhs, m_rhs)
+        assert_same(sa, sb, [0, 1, -1], 0, budget, m_lhs, m_rhs)
 
 
 def hit_under_unmirrored_negative_row(rng, sources, vals, first_rows, tuples):
@@ -444,14 +471,14 @@ def hit_under_unmirrored_negative_row(rng, sources, vals, first_rows, tuples):
         T = Matrix.from_rows(rows, n)
         if Echelon(n, T.entries).rank < n:
             continue
-        n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, transform(a, T))
-        args = (n, a_entries, b_flat, vals, 0, 10**6, m_lhs, m_rhs)
+        sa, sb, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+        args = (sa, sb, vals, 0, 10**6, m_lhs, m_rhs)
         _, digits = wpy.stage_search(*args)
         index = 0
         for d in digits:
             index = index * len(vals) + d
         hit = [[vals[d] for d in digits[r * n : r * n + n]] for r in range(n)]
-        mirrored = mirror_depths(n, a_entries, b_flat)
+        mirrored = mirror_depths(sb)
         if index < tuples and any(negative_leading(hit[d]) and not mirrored[d] for d in range(n - 1)):
             return args
     pytest.fail("no hit under a negative-leading row without a sign change")
@@ -473,7 +500,7 @@ def test_mirror_hit_under_a_negative_row_without_symmetry(by_label):
     tested, digits = assert_same(*args)
     # the odometer gives (budget, None) below its hit
     for budget in (tested - 1, rng.randint(1, tested - 2)):
-        assert wpy.stage_search(*args[:5], budget, *args[6:]) == (budget, None)
+        assert wpy.stage_search(*args[:4], budget, *args[5:]) == (budget, None)
 
 
 def test_mirror_four_dim_target_with_inner_symmetries(by_label):
@@ -484,15 +511,16 @@ def test_mirror_four_dim_target_with_inner_symmetries(by_label):
     line = TripleSystem.abelian(1)
     a = direct_sum(by_label["dim3-II"].system, line)
     b = direct_sum(line, by_label["split-1b"].system)
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, b)
-    assert mirror_depths(n, a_entries, b_flat) == [True] * 4
+    sa, sb, m_lhs, m_rhs = kernel_args(a, b)
+    assert mirror_depths(sb) == [True] * 4
     for budget in (1369, random.Random(4).randint(1370, 1421), 1422, 1423):
-        assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
+        assert_same(sa, sb, [1, -1, 0], 0, budget, m_lhs, m_rhs)
 
 
-def fails_at_last_row(n, a_entries, b_flat, m_lhs, m_rhs, rows):
+def fails_at_last_row(sa, sb, m_lhs, m_rhs, rows):
     """Whether an equation filed under the last of ``rows`` fails on them."""
-    for i, j, k, brow in wpy._equations_by_row(n, a_entries, b_flat)[len(rows) - 1]:
+    n, a_entries, _ = ref.flat(sa, sb)
+    for i, j, k, brow in wpy._equations_by_row(sb)[len(rows) - 1]:
         lhs = [0] * n
         for a, b, c, l, val in a_entries:
             lhs[l] += (rows[i][a] * rows[j][b] - rows[i][b] * rows[j][a]) * rows[k][c] * val
@@ -514,13 +542,13 @@ def test_mirror_inside_a_counted_subtree():
     (1, 1, 1, 1), (1, 1, 1, 0)."""
     a = sphere_system(4)
     T = Matrix.from_rows([[1, 1, 1, 1], [1, 1, 1, 0], [0, -1, 0, 1], [0, 1, 1, 1]])
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(a, transform(a, T))
-    assert mirror_depths(n, a_entries, b_flat) == [True, False, False, False]
-    assert fails_at_last_row(n, a_entries, b_flat, m_lhs, m_rhs, [(1, 1, 1, 1), (1, 1, 1, -1)])
+    sa, sb, m_lhs, m_rhs = kernel_args(a, transform(a, T))
+    assert mirror_depths(sb) == [True, False, False, False]
+    assert fails_at_last_row(sa, sb, m_lhs, m_rhs, [(1, 1, 1, 1), (1, 1, 1, -1)])
     rng = random.Random(0)
     budgets = [1368, 1369, rng.randint(1370, 1421), 1422, 1423, rng.randint(1424, 1475), 1476, 1477, 6681, 10**6]
     for budget in budgets:
-        got = assert_same(n, a_entries, b_flat, [1, -1, 0], 0, budget, m_lhs, m_rhs)
+        got = assert_same(sa, sb, [1, -1, 0], 0, budget, m_lhs, m_rhs)
     assert got[0] == 6682 and got[1][4:8] == (0, 0, 0, 2)
 
 
@@ -528,9 +556,9 @@ def test_mirror_needs_sign_paired_values(by_label):
     """Negating a row maps the stage onto itself only when every -v is a
     value on the same side of new_start as v, and after v > 0: with -1
     before 1, or with 1 old and -1 new, no subtree is mirrored."""
-    n, a_entries, b_flat, m_lhs, m_rhs = _kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
+    sa, sb, m_lhs, m_rhs = kernel_args(by_label["split-1b"].system, by_label["split-1c"].system)
     for vals, new_start in (([0, -1, 1], 0), ([0, 1, -1], 2)):
-        assert_same(n, a_entries, b_flat, vals, new_start, 10**6, m_lhs, m_rhs)
+        assert_same(sa, sb, vals, new_start, 10**6, m_lhs, m_rhs)
 
 
 def test_mirror_work_guard(by_label):

@@ -6,6 +6,10 @@ counting them, and checks every invertible candidate in full.  The tests
 compare the row-at-a-time kernel in ``lietriple._witness_py`` against it,
 call for call.
 
+``flat`` gives the odometer its inputs from the two integer tables the
+kernel reads: the source's nonzero entries with a < b and the target's
+full tensor as one flat list.
+
 ``last_row_system`` is the kernel's earlier way to set up the linear
 system of its last row: evaluate every linear equation at v = 0 and at
 each unit vector.  The tests compare the kernel's direct read of the
@@ -13,6 +17,8 @@ coefficients against it, prefix for prefix.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 
 def _det(mat, n):
@@ -35,6 +41,21 @@ def _det(mat, n):
             det += sign * mat[0][j] * _det(minor, n - 1)
         sign = -sign
     return det
+
+
+def flat(sa, sb):
+    """(n, a_entries, b_flat) of ``stage_search`` from the integer tables
+    sa and sb, whose cell [i][j][k] holds the pairs (l, value) of the
+    nonzero coordinates of (e_i, e_j, e_k)."""
+    n = len(sa)
+    a_entries = [
+        (i, j, k, l, x) for i in range(n) for j in range(i + 1, n) for k in range(n) for l, x in sa[i][j][k]
+    ]
+    b_flat = [0] * n**4
+    for i, j, k in product(range(n), repeat=3):
+        for l, x in sb[i][j][k]:
+            b_flat[((i * n + j) * n + k) * n + l] = x
+    return n, a_entries, b_flat
 
 
 def stage_search(n, a_entries, b_flat, vals, new_start, budget, m_lhs, m_rhs):
