@@ -6,9 +6,10 @@ invertible change of basis: dimensions of canonical series and radicals,
 and the exact signature of the Killing form of the enveloping algebra.
 Distinct fingerprints certify non-isomorphism; equal fingerprints decide
 nothing by themselves, which is why the isomorphism test is three-valued.
-The fields read off M alone are kept on the system
-(``TripleSystem._m_fields``), and ``isomorphic`` compares them before it
-builds a standard embedding.
+The dimensions of the centre and the radicals are read as ranks of
+integer rows, with no subspace built for them.  The fields read off M
+alone are kept on the system (``TripleSystem._m_fields``), and
+``isomorphic`` compares them before it builds a standard embedding.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import TripleSystem, require_axioms, transform
-from .embed import decompose, standard_embedding
+from .embed import standard_embedding
 from .exactla import Matrix
 from .lie import KillingSignature, killing_signature, lie_derived_series, lower_central_series
 from .witness import search_witness
@@ -64,18 +65,21 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
     dim_m, m_derived_dims, center_dim = t._m_fields
     emb = standard_embedding(t)
     g = emb.algebra
-    dec = decompose(emb)
+    # the radical of G is the kernel of the reduced rows R of K·[G, G], and
+    # its part in M that of R's M-columns; each row of R lies in the M or
+    # the h block (see decompose), so both ranks are counts of rows
+    R = g._killing_image
     return Fingerprint(
         dim_m=dim_m,
         m_derived_dims=m_derived_dims,
         m_center_dim=center_dim,
-        lts_radical_dim=dec.m_prime.dim,
+        lts_radical_dim=dim_m - sum(1 for row in R if any(row[:dim_m])),
         h_dim=emb.h_dim,
         g_dim=g.dim,
         g_derived_dims=tuple(s.dim for s in lie_derived_series(g)),
         g_lcs_dims=tuple(s.dim for s in lower_central_series(g)),
         g_killing=killing_signature(g),
-        g_radical_dim=dec.r.dim,
+        g_radical_dim=g.dim - len(R),
         # h acts faithfully on M, so no nonzero element of h is central, and
         # the centre of G is graded: Z(G) = Z(M)
         g_center_dim=center_dim,

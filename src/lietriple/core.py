@@ -79,8 +79,11 @@ class TripleSystem(_tensor.Table):
     def _m_fields(self) -> tuple:
         # dim, the derived-series dims and the centre dim: the fingerprint's
         # fields read off M alone, which isomorphic compares before it asks
-        # for the fingerprints
-        return self.dim, derived_series(self, full_subspace(self.dim)).dims, lts_center(self).dim
+        # for the fingerprints.  The centre is the kernel of lts_center's
+        # rows, so its dim is n minus their rank, read off one capped span
+        n = self.dim
+        rank = capped_span(_tensor.slot_rows(self, (0, 2)), n, n).dim
+        return n, derived_series(self, full_subspace(n)).dims, n - rank
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
     xs, ys and zs lies in d."""
     if d.ambient_dim != t.dim:
         raise ValueError("ambient dimension mismatch")
-    ech = Echelon(t.dim, d._integer_rows())
+    ech = Echelon(t.dim, d._rows)
     S = t._integer[1]
     return not any(any(ech._reduce(_triple(S, x, y, z, 0))[0]) for x in xs for y in ys for z in zs)
 
@@ -206,12 +209,12 @@ def _products_in(t: TripleSystem, d: Subspace, xs, ys, zs) -> bool:
 def is_ideal(t: TripleSystem, d: Subspace) -> bool:
     """(D, M, M) contained in D; the other slots follow from the identities."""
     units = [((j, 1),) for j in range(t.dim)]
-    return _products_in(t, d, [vec_nonzeros(r) for r in d._integer_rows()], units, units)
+    return _products_in(t, d, [vec_nonzeros(r) for r in d._rows], units, units)
 
 
 def is_subsystem(t: TripleSystem, d: Subspace) -> bool:
     """(D, D, D) contained in D."""
-    vs = [vec_nonzeros(r) for r in d._integer_rows()]
+    vs = [vec_nonzeros(r) for r in d._rows]
     return _products_in(t, d, vs, vs, vs)
 
 
@@ -223,7 +226,7 @@ def derived_subspace(t: TripleSystem, om: Subspace) -> Subspace:
     if om.dim == t.dim:
         return t._derived
     S = t._integer[1]
-    vs = [vec_nonzeros(r) for r in om._integer_rows()]
+    vs = [vec_nonzeros(r) for r in om._rows]
     products = (_triple(S, ((i, 1),), a, b, 0) for i in range(t.dim) for a in vs for b in vs)
     # (M, om, om) lies in M
     return capped_span(products, t.dim, t.dim)
@@ -268,7 +271,7 @@ def quotient(t: TripleSystem, om: Subspace) -> TripleSystem:
     """Quotient triple system by an ideal, on the non-pivot standard coordinates."""
     if not is_ideal(t, om):
         raise NotAnIdeal("quotient requires an ideal")
-    ech = Echelon(t.dim, om._integer_rows())
+    ech = Echelon(t.dim, om._rows)
     complement = [j for j in range(t.dim) if j not in ech.pivots]
     q = len(complement)
     pairs = {}

@@ -7,14 +7,14 @@ eliminates fraction-free on primitive integer rows (cf. Bareiss, 1968).
 Rows of ints go to it as they are, and ``kernel`` builds its basis in
 ints, so a caller that scales its rows to integers by one least common
 denominator (``scaled_nonzeros``) gets the same spans with no
-``Fraction`` arithmetic.  A ``Subspace`` from elimination keeps its
-primitive integer rows and knows its dimension; its ``Fraction`` basis,
-and a kernel's basis vectors, are formed only when they are read, and a
-routine that feeds one span into the next reads the integer rows.  So a
-caller that reads only dimensions forms no ``Fraction`` at all.  Every
-value is immutable after construction, apart from the basis a subspace
-forms once when first read, and every operation is a pure function;
-results may be freely shared between threads.
+``Fraction`` arithmetic.  Every ``Subspace`` keeps the primitive
+integer rows of its basis, and a routine that feeds one span into the
+next reads those; the ``Fraction`` basis of a computed subspace is
+formed only when it is read.  So a caller that reads only dimensions
+forms no ``Fraction`` at all.  Every value is immutable after
+construction, apart from the basis a subspace forms once when first
+read, and every operation is a pure function; results may be freely
+shared between threads.
 """
 
 from __future__ import annotations
@@ -166,15 +166,15 @@ class Subspace:
     Equality and hashing read the canonical basis, so two values are equal
     exactly when they are the same subspace; the constructor raises
     ``ValueError`` for a basis whose width is not ``ambient_dim`` or that
-    is not that basis.  The zero subspace keeps its ambient dimension with
-    an empty basis.
+    is not that basis, and keeps the canonical basis in ``Fraction``s.  The
+    zero subspace keeps its ambient dimension with an empty basis.
 
+    Every subspace keeps the primitive integer rows of its basis, ``_rows``,
+    in pivot order: the first nonzero entry of each, at its pivot, is
+    positive.  A routine that feeds one span into the next reads those.
     A subspace that elimination returns (``Echelon.subspace``, ``span``,
-    ``kernel``, ``full_subspace``) knows its dimension at once and keeps the
-    primitive integer rows of its basis; the ``Fraction`` basis, and a
-    kernel's basis vectors, are formed only when ``basis``, ``vectors()``,
-    equality, hashing or ``repr`` reads them.  A routine that only feeds
-    the basis to a further span reads ``_integer_rows()`` instead.
+    ``kernel``, ``full_subspace``) forms its ``Fraction`` basis only when
+    ``basis``, ``vectors()``, equality, hashing or ``repr`` first reads it.
     """
 
     __slots__ = ("ambient_dim", "dim", "_basis", "_rows")
@@ -182,24 +182,23 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        rows = span(basis.entries, ambient_dim)._integer_rows()
-        if _canonical_basis(rows, ambient_dim) != basis:
+        s = span(basis.entries, ambient_dim)
+        if s.basis != basis:
             raise ValueError("basis is not in reduced row echelon form")
-        self.ambient_dim = ambient_dim
-        self.dim = basis.rows
-        self._basis = basis
-        self._rows = rows
+        self.ambient_dim, self.dim, self._basis, self._rows = ambient_dim, s.dim, s.basis, s._rows
+
+    @classmethod
+    def _of_rows(cls, ambient_dim: int, rows: tuple) -> Subspace:
+        """The subspace whose primitive integer echelon rows, in pivot order, are rows; unchecked."""
+        s = cls.__new__(cls)
+        s.ambient_dim, s.dim, s._basis, s._rows = ambient_dim, len(rows), None, rows
+        return s
 
     @property
     def basis(self) -> Matrix:
         if self._basis is None:
-            self._basis = _canonical_basis(self._integer_rows(), self.ambient_dim)
+            self._basis = _canonical_basis(self._rows, self.ambient_dim)
         return self._basis
-
-    def _integer_rows(self) -> tuple:
-        """The basis rows scaled to primitive integers, as tuples of ints;
-        the first nonzero entry of each, at its pivot, is positive."""
-        return self._rows
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -219,28 +218,8 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     def __reduce__(self):
-        # a copy or a pickle holds the basis, not the elimination it came from
+        # a copy or a pickle holds the basis
         return Subspace, (self.ambient_dim, self.basis)
-
-
-class _Eliminated(Subspace):
-    """A subspace read off an elimination: its dimension is known, and
-    ``build()`` forms its primitive integer rows, in pivot order, when they
-    are first read."""
-
-    __slots__ = ("_build",)
-
-    def __init__(self, ambient_dim: int, dim: int, build):
-        self.ambient_dim = ambient_dim
-        self.dim = dim
-        self._basis = self._rows = None
-        self._build = build
-
-    def _integer_rows(self) -> tuple:
-        if self._rows is None:
-            self._rows = self._build()
-            self._build = None
-        return self._rows
 
 
 def _divided(row, a) -> tuple[Fraction, ...]:
@@ -322,7 +301,7 @@ class Echelon:
         """The span as a canonical (RREF) subspace, which keeps these rows
         and forms its ``Fraction`` basis when that is read."""
         rows = tuple([tuple(row) for _, row in sorted(zip(self.pivots, self.rows))])
-        return _Eliminated(self.ambient_dim, len(rows), lambda: rows)
+        return Subspace._of_rows(self.ambient_dim, rows)
 
 
 def span(vectors, ambient_dim: int) -> Subspace:
@@ -361,13 +340,13 @@ def subspace_series(start: Subspace, step) -> tuple[Subspace, ...]:
 
 
 def full_subspace(n: int) -> Subspace:
-    return _Eliminated(n, n, lambda: tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]))
+    return Subspace._of_rows(n, tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return span(a._integer_rows() + b._integer_rows(), a.ambient_dim)
+    return span(a._rows + b._rows, a.ambient_dim)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -381,7 +360,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     pad = (0,) * n
-    ech = Echelon(2 * n, [x + x for x in a._integer_rows()] + [y + pad for y in b._integer_rows()])
+    ech = Echelon(2 * n, [x + x for x in a._rows] + [y + pad for y in b._rows])
     return span([row[n:] for p, row in zip(ech.pivots, ech.rows) if p >= n], n)
 
 
@@ -390,22 +369,21 @@ def subspace_contains(a: Subspace, v) -> bool:
     v = vec(v)
     if len(v) != a.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return not any(Echelon(a.ambient_dim, a._integer_rows())._reduce(v)[0])
+    return not any(Echelon(a.ambient_dim, a._rows)._reduce(v)[0])
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank;
-    its basis vectors are built when its basis is read."""
+    """Null space {v : m·v = 0} as a canonical subspace of dimension cols - rank."""
     ech = Echelon(m.cols)
     for r in m.entries:
         if ech.rank == m.cols:
             break
         ech.insert(r)
-    return _Eliminated(m.cols, m.cols - ech.rank, lambda: _kernel_rows(ech))
+    return span(_kernel_rows(ech), m.cols)
 
 
-def _kernel_rows(ech: Echelon) -> tuple:
-    """The primitive integer rows of the canonical basis of the null space of ech's rows."""
+def _kernel_rows(ech: Echelon) -> list:
+    """Integer vectors, one for each non-pivot column, that span the null space of ech's rows."""
     n = ech.ambient_dim
     basis_vecs = []
     for f in sorted(set(range(n)) - set(ech.pivots)):
@@ -417,7 +395,7 @@ def _kernel_rows(ech: Echelon) -> tuple:
         for p, x, a in terms:
             v[p] = -x * (s // a)
         basis_vecs.append(v)
-    return span(basis_vecs, n)._integer_rows()
+    return basis_vecs
 
 
 def solve(m: Matrix, b) -> tuple[Fraction, ...] | None:

@@ -77,8 +77,8 @@ class LieAlgebra(_tensor.Table):
 
     @cached_property
     def _killing_image(self) -> tuple:
-        # kept on the instance: lie_radical takes its kernel and decompose
-        # the kernels of its column blocks
+        # kept on the instance: lie_radical takes its kernel, decompose the
+        # kernels of its column blocks and fingerprint the ranks of both
         return _killing_rows(self)
 
 
@@ -192,7 +192,7 @@ def _series(g: LieAlgebra, pairs) -> tuple[Subspace, ...]:
     def step(s: Subspace) -> Subspace:
         if s.dim == g.dim:
             return g._derived
-        vs = [vec_nonzeros(r) for r in s._integer_rows()]
+        vs = [vec_nonzeros(r) for r in s._rows]
         # each term lies in the one before
         return capped_span((_bracket(nz, x, y, 0) for x, y in pairs(vs)), g.dim, s.dim)
 
@@ -288,13 +288,13 @@ def _killing_rows(g: LieAlgebra) -> tuple:
     m = g.dim
     K = [vec_nonzeros(r) for r in g._killing_sums]
     rows = []
-    for x in g._derived._integer_rows():
+    for x in g._derived._rows:
         row = [0] * m
         for i, xi in vec_nonzeros(x):
             for j, y in K[i]:
                 row[j] += xi * y
         rows.append(row)
-    return span(rows, m)._integer_rows()
+    return span(rows, m)._rows
 
 
 def lie_radical(g: LieAlgebra) -> Subspace:

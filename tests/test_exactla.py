@@ -8,6 +8,7 @@ from lietriple.exactla import (
     Echelon,
     Matrix,
     SingularMatrix,
+    Subspace,
     inverse,
     kernel,
     rref,
@@ -67,6 +68,11 @@ def test_span_examples():
     assert span([], 3) == zero_subspace(3)
     s2 = span([(2, 4)], 2)
     assert rows(s2.basis) == [[1, 2]]
+    # a basis of ints given to the constructor is kept as the canonical one, in Fractions
+    built, computed = Subspace(2, Matrix(1, 2, ((1, 0),))), span([(1, 0)], 2)
+    assert built == computed and hash(built) == hash(computed)
+    assert repr(built) == repr(computed)
+    assert [type(x) for v in built.vectors() for x in v] == [Fraction, Fraction]
 
 
 def test_span_rejects_wrong_length():

@@ -378,8 +378,6 @@ def test_subspaces_equal_hash_and_print_like_eager_ones(entries):
         }
         read = {"eq": public_subspaces(t), "hash": public_subspaces(t), "repr": public_subspaces(t)}
         for name, want in eager.items():
-            for got in read["eq"][name]:
-                assert type(got) is not Subspace  # the lazy values are what this compares
             assert [s.dim for s in read["eq"][name]] == [s.dim for s in want], (t, name)
             assert list(read["eq"][name]) == want, (t, name)
             assert [hash(s) for s in read["hash"][name]] == [hash(s) for s in want], (t, name)
@@ -403,6 +401,22 @@ def test_decompose_matches_projection_reference(entries):
         got = decompose(emb)
         assert got == embed_reference.decompose_by_projection(emb), t
         proper += 0 < got.m_prime.dim < t.dim and got.h_prime.dim > 0
+    assert proper >= 10
+
+
+def test_fingerprint_dimensions_match_the_centre_and_radical_subspaces(entries):
+    # the fingerprint reads these dimensions as ranks of rows, not off the
+    # subspaces that lts_center and decompose build; systems() holds the
+    # plain spheres k = 2..7, and each is changed by a seeded basis here
+    rng = random.Random(28)
+    changed = [transform(sphere_system(k), random_invertible(rng, k)) for k in range(2, 8)]
+    proper = 0
+    for t in systems(entries) + changed:
+        fp = fingerprint(t)
+        dec = decompose(standard_embedding(t))
+        got = (fp.m_center_dim, fp.lts_radical_dim, fp.g_radical_dim)
+        assert got == (lts_center(t).dim, dec.m_prime.dim, dec.r.dim), t
+        proper += 0 < fp.lts_radical_dim < t.dim and 0 < fp.g_radical_dim
     assert proper >= 10
 
 
