@@ -162,16 +162,14 @@ def stage_search(sa, sb, vals, new_start, budget, m_lhs, m_rhs):
         """Place rows depth.. in order: (tested, digits) at the hit,
         (budget, None) when the budget runs out, None when exhausted.
         Under a prefix that fails an equation (``live`` false) nothing is
-        checked, and the invertible candidates are only counted.  A live
-        last row runs through the solutions in digit order: a hit is
-        ranked by the rows before it, and a miss counts the last rows as a
-        cut does."""
+        checked, and the invertible candidates are only counted.  The
+        last row, reached only under a live prefix, runs through the
+        solutions in digit order: a hit is ranked by the rows before it,
+        and a miss counts the last rows as a cut does."""
         nonlocal tested
         if depth == last:
             (w,) = perps[last]
-            if next(filter(None, w)) < 0:
-                w = tuple(map(neg, w))  # one count for the normals w and -w
-            for drow, row in solutions() if live else ():
+            for drow, row in solutions():
                 # a tuple without a new digit belongs to an earlier stage
                 if not (has_new or max(drow) >= new_start) or not sum(map(mul, w, row)):
                     continue
@@ -206,7 +204,13 @@ def stage_search(sa, sb, vals, new_start, budget, m_lhs, m_rhs):
             start = tested
             rows[depth] = row
             drows[depth] = drow
-            found = search(depth + 1, has_new or max(drow) >= new_start, live and holds(depth))
+            new_below, live_below = has_new or max(drow) >= new_start, live and holds(depth)
+            if depth + 1 == last and not live_below:
+                # a failed prefix of n - 1 rows: its last rows are only counted
+                tested += _last_count(below[0], stage, new_below)
+                found = (budget, None) if tested >= budget else None
+            else:
+                found = search(depth + 1, new_below, live_below)
             if found:
                 return found
             if counts is not None:
@@ -356,7 +360,9 @@ def _grid_points(pivots, n, vals, digit_of):
 @lru_cache(maxsize=1 << 13)
 def _orthogonal(perp, row):
     """A primitive integer basis of the vectors in span(perp) orthogonal to
-    ``row``, as a tuple, or None when ``row`` is orthogonal to all of ``perp``."""
+    ``row``, as a tuple, or None when ``row`` is orthogonal to all of ``perp``.
+    Each vector has its first nonzero entry positive: the normals w and -w
+    of n - 1 rows count the same last rows, so they share one count."""
     dots = [sum(map(mul, k, row)) for k in perp]
     p = next((i for i, d in enumerate(dots) if d), None)
     if p is None:
@@ -367,6 +373,8 @@ def _orthogonal(perp, row):
         if i != p:
             u = [dp * x - d * y for x, y in zip(k, kp)]
             g = gcd(*u)
+            if next(filter(None, u)) < 0:
+                g = -g
             out.append(tuple(x // g for x in u))
     return tuple(out)
 

@@ -17,7 +17,11 @@ appears here (see the tests for the mechanical check).  Two further
 collapses the classical tables miss: types III and IV coincide up to
 isomorphism (e3 ↦ e2 ∓ e3), and split-5 ≅ split-6 (e3 ↦ -e3).  All four
 labels are kept because all four are classical; their fingerprints collide
-by necessity and classify reports the tied set.
+by necessity.  ``ISOMORPHIC_GROUPS`` declares these groups with their
+witnesses; the test suite verifies each witness exactly and checks that
+the default witness search finds a witness between tied entries exactly
+within a group, so classify reports a tie within one group without a
+search.
 
 Every entry records the invariant fingerprint the library computes for it;
 the test suite recomputes and compares.
@@ -293,6 +297,14 @@ def _definitions():
         ),
     ]
 
+
+# The groups of isomorphic entries, each pair (a, b) with the witness its
+# notes name: transform(b, T) == a for T with these rows
+ISOMORPHIC_GROUPS = {
+    ("dim3-III+", "dim3-IV+"): ((1, 0, 0), (0, 1, 0), (0, 1, -1)),  # e3 -> e2 - e3
+    ("dim3-III-", "dim3-IV-"): ((1, 0, 0), (0, 1, 0), (0, 1, 1)),  # e3 -> e2 + e3
+    ("split-5", "split-6"): ((1, 0, 0), (0, 1, 0), (0, 0, -1)),  # e3 -> -e3
+}
 
 _ENTRIES: list[CatalogEntry] | None = None
 

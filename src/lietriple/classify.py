@@ -137,13 +137,14 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
 
     The input's fingerprint is computed once and compared with the frozen
     catalog fingerprints.  An empty list means no catalog entry shares
-    it.  A tie is refined by the search from the input, bounded by
-    ``budget``: when it finds a witness to some tied entries, the labels
-    are those entries and every tied entry with a witness from one of
-    them.  The witnesses between catalog entries are searched at the
-    default budget, which finds every one there is, so a label dropped
-    this way is not isomorphic to the input.  When the search finds no
-    witness, every tied label is kept.  The order follows the catalog.
+    it.  The tied entries fall into classes: a group of isomorphic entries
+    the catalog declares (``catalog.ISOMORPHIC_GROUPS``, which the test
+    suite checks against the default search), or an entry alone.  A tie
+    within one class gives every tied label with no search.  Otherwise
+    the search from the input, bounded by ``budget``, runs for each tied
+    entry whose class has no witness yet: the labels are the classes with
+    a witness, since no other tied entry is isomorphic to those, or every
+    tied label when the search finds none.  The order follows the catalog.
     """
     from . import catalog
 
@@ -151,14 +152,15 @@ def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str
         raise UnsupportedDimension("classification covers dimensions 2 and 3 only")
     fp = fingerprint(t)
     candidates = [e for e in catalog.all_entries() if e.expected == fp]
-    if len(candidates) <= 1:
+    group = {label: pair for pair in catalog.ISOMORPHIC_GROUPS for label in pair}
+    classes = {}  # an entry's isomorphic group, or its label alone -> its tied entries
+    for e in candidates:
+        classes.setdefault(group.get(e.label, e.label), []).append(e)
+    if len(classes) <= 1:
         return [e.label for e in candidates]
-    hits = [e for e in candidates if _witness(t, e.system, budget).verdict == "isomorphic"]
-    if not hits:
-        return [e.label for e in candidates]
-    return [
-        e.label
-        for e in candidates
-        if e in hits
-        or any(_witness(x.system, e.system, DEFAULT_CLASSIFY_BUDGET).verdict == "isomorphic" for x in hits)
-    ]
+    hits = {
+        key
+        for key, members in classes.items()
+        if any(_witness(t, e.system, budget).verdict == "isomorphic" for e in members)
+    }
+    return [e.label for e in candidates if not hits or group.get(e.label, e.label) in hits]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lietriple import catalog
 from lietriple.classify import (
     DEFAULT_CLASSIFY_BUDGET,
     UnsupportedDimension,
@@ -13,9 +14,10 @@ from lietriple.classify import (
     isomorphic,
 )
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms, transform
-from lietriple.exactla import Matrix
+from lietriple.exactla import Echelon, Matrix, inverse
 from lietriple.lie import KillingSignature
 from lietriple.witness import level_values, search_witness, value_prefix
+import classify_reference
 from util import random_invertible
 
 
@@ -154,8 +156,8 @@ def test_classify_direct_sum_examples(by_label):
 )
 def test_classify_keeps_a_label_the_search_misses(by_label, label, other, rows):
     """The search finds a witness to the other tied label only; its miss on
-    the input's own label proves nothing, and the witness between the two
-    catalog entries keeps that label."""
+    the input's own label proves nothing, and the two entries' isomorphic
+    group keeps that label."""
     t = transform(by_label[label].system, Matrix.from_rows(rows))
     assert isomorphic(t, by_label[label].system, DEFAULT_CLASSIFY_BUDGET).verdict == "unknown"
     assert isomorphic(t, by_label[other].system, DEFAULT_CLASSIFY_BUDGET).verdict == "isomorphic"
@@ -170,11 +172,62 @@ def test_tied_entries_are_decided_by_the_default_search(entries):
     isomorphic_pairs = {
         frozenset(pair) for pair in (("dim3-III+", "dim3-IV+"), ("dim3-III-", "dim3-IV-"), ("split-5", "split-6"))
     }
+    assert isomorphic_pairs == {frozenset(pair) for pair in catalog.ISOMORPHIC_GROUPS}
     for a in entries:
         for b in entries:
             if a is not b and a.expected == b.expected:
                 found = search_witness(a.system, b.system, DEFAULT_CLASSIFY_BUDGET) is not None
                 assert found == (frozenset((a.label, b.label)) in isomorphic_pairs), (a.label, b.label)
+
+
+def test_isomorphic_groups_carry_exact_witnesses(by_label):
+    """Each declared witness T carries the second entry of its group to the
+    first, and T's inverse the first to the second, by an exact transform:
+    the groups hold without the search."""
+    for (a, b), rows in catalog.ISOMORPHIC_GROUPS.items():
+        T = Matrix.from_rows(rows)
+        assert transform(by_label[b].system, T).c == by_label[a].system.c, (a, b)
+        assert transform(by_label[a].system, inverse(T)).c == by_label[b].system.c, (a, b)
+
+
+TIED_VALUES = (0, 1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3))
+
+
+def changed(rng, t, values):
+    """t under a seeded invertible basis change with entries from values."""
+    n = t.dim
+    while True:
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if Echelon(n, rows).rank == n:
+            return transform(t, Matrix.from_rows(rows, n))
+
+
+def test_classify_matches_the_search_only_reference(entries):
+    """On seeded changes of every tied entry, with entries like the
+    benchmark's tied inputs and in {0, ±1}, classify gives the labels of
+    the reference that decides ties by search alone, at every budget."""
+    rng = random.Random(2029)
+    tied = [e for e in entries if sum(x.expected == e.expected for x in entries) > 1]
+    assert len(tied) == 12
+    for e in tied:
+        inputs = [e.system] + [changed(rng, e.system, values) for values in (TIED_VALUES, (0, 1, -1)) for _ in range(2)]
+        for t in inputs:
+            for budget in (0, 100, 3000, DEFAULT_CLASSIFY_BUDGET):
+                assert classify(t, budget) == classify_reference.classify(t, budget), (e.label, budget)
+
+
+def test_a_tie_within_one_group_makes_no_search(by_label, monkeypatch):
+    """classify of a group member, plain, sheared (found by the search) or
+    changed beyond the default budget (missed by it), returns the group
+    without a search."""
+    searches = _count_calls(monkeypatch, search_witness)
+    changes = ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[3, 1, 0], [0, Fraction(1, 3), 1], [1, 0, -3]])
+    for pair in catalog.ISOMORPHIC_GROUPS:
+        for label in pair:
+            t = by_label[label].system
+            for s in [t] + [transform(t, Matrix.from_rows(rows)) for rows in changes]:
+                assert classify(s) == list(pair), label
+    assert searches == []
 
 
 @pytest.mark.parametrize(
@@ -186,22 +239,28 @@ def test_tied_entries_are_decided_by_the_default_search(entries):
     ],
 )
 def test_classify_budget_bounds_only_the_input_search(by_label, label, labels):
-    """The budget bounds the searches from the input; a witness between two
-    tied catalog entries is searched at the default budget, so an entry
-    keeps its isomorphic label even where its own search stops short of
-    that label's first witness (about 3600 candidates in)."""
+    """The budget bounds the searches from the input only.  A tie within
+    one of the isomorphic groups the catalog declares, which the tests
+    above check against the default search, makes no search, so an entry
+    keeps its isomorphic label even at a budget that would stop its own
+    search short of that label's first witness (about 3600 candidates in)."""
     for budget in (0, 100, 3000):
         assert classify(by_label[label].system, budget) == labels, budget
 
 
-def test_classify_keeps_a_false_tie_exact(by_label):
+def test_classify_keeps_a_false_tie_exact(by_label, monkeypatch):
     """A hit on one label of a tie between non-isomorphic entries adds no
-    other label: the search between the entries finds no witness."""
+    other label: no isomorphic group of the catalog holds both.  Every
+    search starts at the input; none runs between two catalog entries."""
+    searches = _count_calls(monkeypatch, search_witness)
     shear = [[1, 1], [0, 1]]
-    for label in ("dim2-2", "dim2-3", "split-3", "split-4", "split-1b"):
+    for label in ("dim2-2", "dim2-3", "split-3", "split-4", "split-1b", "split-1c"):
         t = by_label[label].system
         T = Matrix.from_rows(shear) if t.dim == 2 else Matrix.from_rows([shear[0] + [0], shear[1] + [0], [0, 0, 1]])
-        assert classify(transform(t, T)) == [label], label
+        s = transform(t, T)
+        del searches[:]
+        assert classify(s) == [label], label
+        assert searches and all(args[0] is s for args in searches), label
 
 
 @pytest.mark.parametrize(
