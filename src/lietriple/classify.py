@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import TripleSystem, require_axioms, transform
-from .embed import standard_embedding
+from .embed import _radical_blocks, standard_embedding
 from .exactla import Matrix
 from .lie import KillingSignature, killing_signature, lie_derived_series, lower_central_series
 from .witness import search_witness
@@ -65,21 +65,18 @@ def fingerprint(t: TripleSystem) -> Fingerprint:
     dim_m, m_derived_dims, center_dim = t._m_fields
     emb = standard_embedding(t)
     g = emb.algebra
-    # the radical of G is the kernel of the reduced rows R of K·[G, G], and
-    # its part in M that of R's M-columns; each row of R lies in the M or
-    # the h block (see decompose), so both ranks are counts of rows
-    R = g._killing_image
+    m_rows, h_rows = _radical_blocks(emb)
     return Fingerprint(
         dim_m=dim_m,
         m_derived_dims=m_derived_dims,
         m_center_dim=center_dim,
-        lts_radical_dim=dim_m - sum(1 for row in R if any(row[:dim_m])),
+        lts_radical_dim=dim_m - len(m_rows),
         h_dim=emb.h_dim,
         g_dim=g.dim,
         g_derived_dims=tuple(s.dim for s in lie_derived_series(g)),
         g_lcs_dims=tuple(s.dim for s in lower_central_series(g)),
         g_killing=killing_signature(g),
-        g_radical_dim=g.dim - len(R),
+        g_radical_dim=g.dim - len(m_rows) - len(h_rows),
         # h acts faithfully on M, so no nonzero element of h is central, and
         # the centre of G is graded: Z(G) = Z(M)
         g_center_dim=center_dim,

@@ -57,20 +57,19 @@ def _load_lts(path: str):
     return parse_lts(_read(path))
 
 
-def _print_verdict(verdict, kind: str) -> int:
-    """``valid`` (exit 0), or the first violation of the ``kind`` identity (exit 2)."""
+def _print_verdict(verdict) -> int:
+    """``valid`` (exit 0), or the first violation of the verdict's identity (exit 2)."""
     if verdict:
         print("valid")
         return 0
     residual = " ".join(str(x) for x in verdict.residual)
     indices = ",".join(str(i) for i in verdict.indices)
-    print(f"{kind} identity violated at ({indices}): residual {residual}")
+    print(f"{verdict.kind} identity violated at ({indices}): residual {residual}")
     return 2
 
 
 def cmd_check(args) -> int:
-    verdict = check_axioms(_load_lts(args.path))
-    return _print_verdict(verdict, verdict.kind)
+    return _print_verdict(check_axioms(_load_lts(args.path)))
 
 
 def cmd_embed(args) -> int:
@@ -153,7 +152,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_lie_check(args) -> int:
     g, _ = parse_lie(_read(args.path))
-    return _print_verdict(check_jacobi(g), "jacobi")
+    return _print_verdict(check_jacobi(g))
 
 
 def cmd_lie_to_lts(args) -> int:

@@ -88,13 +88,12 @@ class TripleSystem(_tensor.Table):
 
 @dataclass(frozen=True)
 class AxiomVerdict:
-    """Outcome of check_axioms: valid, or the first violation found.
+    """Outcome of an identity check: valid, or the first violation found.
 
-    ``kind`` is ``"cyclic"`` or ``"derivation"``: alternation is enforced
-    when the TripleSystem is constructed.  ``indices`` are 1-based; the
-    scan order is cyclic instances (i,j,k), then derivation instances
-    (x,y,u,v,w), each lexicographic, so the reported witness is
-    deterministic.
+    ``kind`` names the identity: ``"cyclic"`` or ``"derivation"`` from
+    check_axioms, which scans cyclic instances (i,j,k), then derivation
+    instances (x,y,u,v,w), each lexicographic, or ``"jacobi"`` from
+    ``lie.check_jacobi``.  ``indices`` are 1-based.
     """
 
     ok: bool

@@ -23,9 +23,9 @@ summed over their nonzero entries only.  The identity needs valid
 axioms, which is why the axioms are checked before anything else is
 built.
 
-The radical of G and its parts in M and in h are kernels of one matrix:
-the rows of K·[G, G], reduced once per algebra, and their M- and
-h-column blocks (see ``decompose``).
+The radical of G and its parts in M and in h are read off one matrix:
+the rows of K·[G, G], reduced once per algebra, each of which lies in
+the M or the h block (see ``_radical_blocks``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .exactla import (
     vec,
     vec_nonzeros,
 )
-from .lie import Grading, LieAlgebra, lie_radical, require_grading
+from .lie import Grading, LieAlgebra, require_grading
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ class StandardEmbedding:
 class Decomposition:
     """Radical-side pieces of the enveloping algebra.
 
-    r is the radical of G; m_prime and h_prime are the projections of r to
-    source and to h coordinates.  r is graded, so they are M ∩ r and h ∩ r
-    and r = m_prime + h_prime.
+    r is the radical of G, r = m_prime + h_prime, and m_prime = M ∩ r and
+    h_prime = h ∩ r in source and in h coordinates.
     """
 
     r: Subspace
@@ -178,26 +177,36 @@ def is_canonical(e: StandardEmbedding) -> bool:
     return Echelon(len(minus) ** 2, rows).rank == len(plus)
 
 
-def decompose(e: StandardEmbedding) -> Decomposition:
-    """Radical of the enveloping algebra split into its M and h parts.
+def _radical_blocks(e: StandardEmbedding) -> tuple[list, list]:
+    """The reduced rows R of K·[G, G] in the M block, as their M-columns,
+    and those in the h block, as their h-columns.
 
-    The radical r is the kernel of the rows R of K·[G, G], and (x, 0) lies
-    in r exactly when R's M-columns map x to zero: r ∩ M and r ∩ h are the
-    kernels of R's M-columns and h-columns.  The radical is invariant under
-    the grading involution, so it is the sum of these parts, and they are
-    its projections to M and to h.  The Killing form pairs M only with M
-    and h only with h, so each row of R lies in one block, and its column
-    blocks are already reduced.
+    The radical r of G is the kernel of R.  The grading involution is an
+    automorphism, so K pairs M only with M and h only with h, and [G, G]
+    is graded; so is the row space of R, and each reduced row lies in one
+    block.  So r is the sum of r ∩ M and r ∩ h, the kernels of the two
+    blocks.  A row in both blocks raises AssertionError.
     """
-    g = e.algebra
-    r = lie_radical(g)
     n = e.source.dim
-    R = g._killing_image
-    m_prime = kernel(Matrix(len(R), n, tuple([row[:n] for row in R])))
-    h_prime = kernel(Matrix(len(R), e.h_dim, tuple([row[n:] for row in R])))
-    if m_prime.dim + h_prime.dim != r.dim:
+    R = e.algebra._killing_image
+    m_rows = [row[:n] for row in R if any(row[:n])]
+    h_rows = [row[n:] for row in R if any(row[n:])]
+    # a row in both blocks is counted twice
+    if len(m_rows) + len(h_rows) > len(R):
         raise AssertionError("radical is not graded by the involution")
-    return Decomposition(r, m_prime, h_prime)
+    return m_rows, h_rows
+
+
+def decompose(e: StandardEmbedding) -> Decomposition:
+    """Radical of the enveloping algebra split into its M and h parts: the
+    kernels of the two blocks of ``_radical_blocks``, and r their sum."""
+    n, h_dim = e.source.dim, e.h_dim
+    m_rows, h_rows = _radical_blocks(e)
+    m_prime = kernel(Matrix(len(m_rows), n, tuple(m_rows)))
+    h_prime = kernel(Matrix(len(h_rows), h_dim, tuple(h_rows)))
+    # the echelon rows of m' then of h', padded with zeros, are those of r
+    rows = [x + (0,) * h_dim for x in m_prime._rows] + [(0,) * n + y for y in h_prime._rows]
+    return Decomposition(Subspace._of_rows(n + h_dim, tuple(rows)), m_prime, h_prime)
 
 
 def lts_radical(t: TripleSystem) -> Subspace:

@@ -36,8 +36,12 @@ class SingularMatrix(ValueError):
 
 
 def rat(x) -> Fraction:
-    """Coerce an int/str/Fraction to an exact rational."""
-    return x if type(x) is Fraction else Fraction(x)
+    """Coerce an int/str/Fraction to an exact rational; a float or a bool is refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{x!r} is a {type(x).__name__}, not an exact rational")
+    return Fraction(x)
 
 
 def vec(entries) -> tuple[Fraction, ...]:
@@ -69,7 +73,7 @@ def scaled_nonzeros(v) -> tuple[int, list]:
     """(s, pairs): the least common denominator s of v's entries, and the
     pairs (index, s·entry) of the nonzero entries as ints; for a canonical
     basis row, whose pivot entry is 1, these ints are primitive."""
-    nz = [(j, rat(x).as_integer_ratio()) for j, x in enumerate(v) if x]
+    nz = [(j, x.as_integer_ratio()) for j, x in enumerate(map(rat, v)) if x]
     s = lcm(*[d for _, (_, d) in nz])
     return s, [(j, x * (s // d)) for j, (x, d) in nz]
 

@@ -15,8 +15,8 @@ series and the span whose Killing-orthogonal complement is the radical.
 Spans and kernels run on the brackets scaled to integers by one least
 common denominator d and on the Killing sums d²·K: the same spans, with
 ``Fraction``s only in the returned subspaces, formed when their bases are
-read.  The Killing signature runs on d²·K too; the ``Fraction`` form is
-built only for ``killing_form``.
+read.  The Killing signature runs on d²·K too, and ``killing_form``
+builds the ``Fraction`` form from it when called.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _tensor
-from .core import TripleSystem
+from .core import AxiomVerdict, TripleSystem
 from .exactla import (
     Matrix,
     ONE,
@@ -66,19 +66,13 @@ class LieAlgebra(_tensor.Table):
     @cached_property
     def _killing_sums(self) -> list:
         # kept on the instance: a fingerprint reads the Killing form through
-        # both lie_radical and killing_signature
+        # both _killing_image and killing_signature
         return _killing_form(self)
 
     @cached_property
-    def _killing(self) -> Matrix:
-        dd = self._integer[0] ** 2
-        rows = [[Fraction(x, dd) if x else ZERO for x in r] for r in self._killing_sums]
-        return Matrix.from_rows(rows, self.dim)
-
-    @cached_property
     def _killing_image(self) -> tuple:
-        # kept on the instance: lie_radical takes its kernel, decompose the
-        # kernels of its column blocks and fingerprint the ranks of both
+        # kept on the instance: lie_radical takes its kernel, decompose
+        # and fingerprint its blocks (embed._radical_blocks)
         return _killing_rows(self)
 
 
@@ -86,10 +80,10 @@ class LieAlgebra(_tensor.Table):
 class Grading:
     """Sign vector of an involutive grading: -1 on the triple-system part, +1 on h."""
 
-    signs: tuple  # entries are +1 or -1
+    signs: tuple  # entries are the ints +1 or -1
 
     def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+        if any(type(s) is not int or s not in (1, -1) for s in self.signs):
             raise ValueError("grading signs must be +1 or -1")
 
     @property
@@ -109,16 +103,6 @@ class KillingSignature:
 
     def as_tuple(self):
         return (self.positive, self.negative, self.zero)
-
-
-@dataclass(frozen=True)
-class JacobiVerdict:
-    ok: bool
-    indices: tuple | None = None  # 1-based triple
-    residual: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,7 @@ def _bracket(nz, xs, ys, zero):
     return tuple(out)
 
 
-def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
+def check_jacobi(g: LieAlgebra) -> AxiomVerdict:
     """Jacobi identity on the basis triples i < j < k; first violation in lex order.
 
     The bracket is antisymmetric, so the Jacobiator is alternating: it
@@ -180,8 +164,8 @@ def check_jacobi(g: LieAlgebra) -> JacobiVerdict:
                             r[l] = r.get(l, 0) + vq * x
                 if any(r.values()):
                     residual = tuple(Fraction(r.get(l, 0), d * d) for l in range(m))
-                    return JacobiVerdict(False, (i + 1, j + 1, k + 1), residual)
-    return JacobiVerdict(True)
+                    return AxiomVerdict(False, "jacobi", (i + 1, j + 1, k + 1), residual)
+    return AxiomVerdict(True)
 
 
 def _series(g: LieAlgebra, pairs) -> tuple[Subspace, ...]:
@@ -211,8 +195,9 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad e_i ∘ ad e_j), computed once per algebra."""
-    return g._killing
+    """K[i][j] = trace(ad e_i ∘ ad e_j), read off the algebra's sums d²·K."""
+    dd = g._integer[0] ** 2
+    return Matrix(g.dim, g.dim, tuple([tuple([Fraction(x, dd) if x else ZERO for x in r]) for r in g._killing_sums]))
 
 
 def _killing_form(g: LieAlgebra) -> list:

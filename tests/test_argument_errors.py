@@ -5,9 +5,9 @@ import re
 import pytest
 
 from lietriple.catalog import from_operators
-from lietriple.core import TripleSystem, derived_subspace, is_ideal, transform
+from lietriple.core import TripleSystem, derived_subspace, is_ideal, transform, triple_product
 from lietriple.embed import inner_derivation
-from lietriple.exactla import Matrix, Subspace, full_subspace, solve
+from lietriple.exactla import Echelon, Matrix, Subspace, full_subspace, kernel, rat, solve, span
 from lietriple.formats import serialize_lie
 from lietriple.lie import Grading, LieAlgebra, check_grading
 from lietriple.witness import search_witness
@@ -64,6 +64,37 @@ def g2_with(x):
         (lambda: is_ideal(T2, full_subspace(3)), ValueError, "ambient dimension mismatch"),
         (lambda: derived_subspace(T2, full_subspace(3)), ValueError, "ambient dimension mismatch"),
         (lambda: from_operators(I2, I3, I3), ValueError, "operators must be 3 x 3"),
+        # exact inputs only: a float or a bool is refused wherever a value is coerced to a rational
+        *[
+            pytest.param(call, ValueError, message, id=name)
+            for name, call, message in [
+                ("rat-float", lambda: rat(0.1), "0.1 is a float, not an exact rational"),
+                ("rat-bool", lambda: rat(True), "True is a bool, not an exact rational"),
+                ("from-rows-float", lambda: Matrix.from_rows([[0.1, 1]]), "0.1 is a float, not an exact rational"),
+                ("from-rows-bool", lambda: Matrix.from_rows([[1, False]]), "False is a bool, not an exact rational"),
+                ("echelon-bool", lambda: Echelon(2, [(True, 0)]), "True is a bool, not an exact rational"),
+                ("span-float", lambda: span([(0.1, 1)], 2), "0.1 is a float, not an exact rational"),
+                ("span-zero-float", lambda: span([(0.0, 1)], 2), "0.0 is a float, not an exact rational"),
+                ("kernel-float", lambda: kernel(Matrix(1, 2, ((0.1, 1),))), "0.1 is a float, not an exact rational"),
+                (
+                    "triple-product-float",
+                    lambda: triple_product(T2, (0.1, 0), (1, 0), (0, 1)),
+                    "0.1 is a float, not an exact rational",
+                ),
+                (
+                    "transform-float",
+                    lambda: transform(T2, Matrix(2, 2, ((0.5, 0), (0, 1)))),
+                    "0.5 is a float, not an exact rational",
+                ),
+                (
+                    "from-entries-float",
+                    lambda: TripleSystem.from_entries(2, {(0, 1, 0): (0.5, 0)}),
+                    "0.5 is a float, not an exact rational",
+                ),
+                ("grading-bool", lambda: Grading((True, -1)), "grading signs must be +1 or -1"),
+                ("grading-float", lambda: Grading((1, -1.0)), "grading signs must be +1 or -1"),
+            ]
+        ],
     ],
 )
 def test_documented_argument_errors(call, exception, message):

@@ -18,7 +18,7 @@ from lietriple.exactla import Echelon, Matrix, inverse
 from lietriple.lie import KillingSignature
 from lietriple.witness import level_values, search_witness, value_prefix
 import classify_reference
-from util import random_invertible
+from util import count_calls, random_invertible
 
 
 def test_fingerprint_computes_the_killing_form_once(entries, monkeypatch):
@@ -220,7 +220,7 @@ def test_a_tie_within_one_group_makes_no_search(by_label, monkeypatch):
     """classify of a group member, plain, sheared (found by the search) or
     changed beyond the default budget (missed by it), returns the group
     without a search."""
-    searches = _count_calls(monkeypatch, search_witness)
+    searches = count_calls(monkeypatch, search_witness)
     changes = ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[3, 1, 0], [0, Fraction(1, 3), 1], [1, 0, -3]])
     for pair in catalog.ISOMORPHIC_GROUPS:
         for label in pair:
@@ -252,7 +252,7 @@ def test_classify_keeps_a_false_tie_exact(by_label, monkeypatch):
     """A hit on one label of a tie between non-isomorphic entries adds no
     other label: no isomorphic group of the catalog holds both.  Every
     search starts at the input; none runs between two catalog entries."""
-    searches = _count_calls(monkeypatch, search_witness)
+    searches = count_calls(monkeypatch, search_witness)
     shear = [[1, 1], [0, 1]]
     for label in ("dim2-2", "dim2-3", "split-3", "split-4", "split-1b", "split-1c"):
         t = by_label[label].system
@@ -356,27 +356,10 @@ def test_iso_reports_the_first_invalid_argument():
         isomorphic(CYCLIC_BAD, DERIVATION_BAD)
 
 
-def _count_calls(monkeypatch, func):
-    """Replace every binding of func in the lietriple modules by a wrapper
-    that records each call; returns the list of records."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return func(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "lietriple" or name.startswith("lietriple.")):
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
-
-
 def test_each_input_is_validated_and_fingerprinted_once(by_label, monkeypatch):
     changed = transform(by_label["dim3-III+"].system, Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-    checks = _count_calls(monkeypatch, check_axioms)
-    fingerprints = _count_calls(monkeypatch, fingerprint)
+    checks = count_calls(monkeypatch, check_axioms)
+    fingerprints = count_calls(monkeypatch, fingerprint)
     assert classify(changed) == ["dim3-III+", "dim3-IV+"]
     assert (len(checks), len(fingerprints)) == (1, 1)
     del checks[:], fingerprints[:]

@@ -3,6 +3,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from lietriple import catalog, cli, serialize_lts
 from lietriple.cli import main
 from util import sphere_system
@@ -272,6 +274,33 @@ def test_lie_check(capsys, tmp_path):
     path.write_text("LIE 3\n1 2 3 1\n")
     code, out, _ = run(capsys, "lie-check", str(path))
     assert (code, out) == (0, "valid\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, out",
+    [
+        ("check", "LTS 3\n1 2 3 1 1\n", "cyclic identity violated at (1,2,3): residual 1 0 0\n"),
+        ("check", "LTS 3\n1 2 3 1 1/3\n", "cyclic identity violated at (1,2,3): residual 1/3 0 0\n"),
+        # the classical seventh solvable type
+        ("check", "LTS 3\n1 3 2 1 1\n2 3 1 1 1\n", "derivation identity violated at (1,3,2,3,2): residual -2 0 0\n"),
+        (
+            "check",
+            "LTS 3\n1 3 2 1 1/2\n2 3 1 1 1/2\n",
+            "derivation identity violated at (1,3,2,3,2): residual -1/2 0 0\n",
+        ),
+        ("lie-check", "LIE 3\n1 2 3 1\n1 3 1 1\n", "jacobi identity violated at (1,2,3): residual 0 0 -1\n"),
+        ("lie-check", "LIE 3\n1 2 3 1/2\n1 3 1 1/3\n", "jacobi identity violated at (1,2,3): residual 0 0 -1/6\n"),
+        (
+            "lie-check",
+            "LIE 4\nGRADE - - - +\n1 2 4 1\n1 4 1 1\n2 4 3 1\n3 4 1 1\n",
+            "jacobi identity violated at (1,2,3): residual -1 0 0 0\n",
+        ),
+    ],
+)
+def test_identity_violations_print_their_kind_indices_and_residual(capsys, tmp_path, command, text, out):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (2, out, "")
 
 
 def test_lie_to_lts_round_trip(capsys, tmp_path):

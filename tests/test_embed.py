@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import embed_reference as ref
-from lietriple import catalog, embed
+from lietriple import catalog, embed, lie
 from lietriple.core import InvalidLTS, TripleSystem, check_axioms, quotient, transform
 from lietriple.embed import (
     StandardEmbedding,
@@ -37,7 +37,7 @@ from lietriple.lie import (
 from lietriple.classify import fingerprint
 from lietriple.core import derived_series, is_ideal
 from lietriple.formats import serialize_lie
-from util import random_invertible, sphere_system, zero_subspace
+from util import count_calls, random_invertible, sphere_system, zero_subspace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -305,6 +305,36 @@ def test_decompose_rejects_an_ungraded_radical():
     for split in (decompose, ref.decompose):
         with pytest.raises(AssertionError, match="radical is not graded by the involution"):
             split(fake)
+
+
+def test_the_block_split_agrees_with_the_general_kernels(entries):
+    # fingerprint counts the rows of the two blocks of K·[G, G] and decompose
+    # sums their kernels; lie_radical takes the kernel of the whole matrix
+    rng = random.Random(20261021)
+    systems = [(e.label, e.system) for e in entries]
+    systems += [
+        (f"{e.label} changed {r}", transform(e.system, random_invertible(rng, e.system.dim)))
+        for e in entries
+        for r in range(3)
+    ]
+    systems += [(f"sphere {k}", sphere_system(k)) for k in range(2, 8)]
+    for name, t in systems:
+        emb = standard_embedding(t)
+        r = lie_radical(emb.algebra)
+        fp = fingerprint(t)
+        assert fp.g_radical_dim == r.dim, name
+        assert fp.lts_radical_dim == lts_radical(t).dim, name
+        assert decompose(emb).r == r, name
+
+
+def test_decompose_takes_no_kernel_of_the_whole_matrix(by_label, monkeypatch):
+    calls = count_calls(monkeypatch, lie_radical)
+    for t in (by_label["split-2"].system, by_label["dim3-II"].system, sphere_system(4)):
+        decompose(standard_embedding(t))
+    assert calls == []
+    # the probe sees a call through the library's own binding
+    lie.lie_radical(LieAlgebra.abelian(2))
+    assert len(calls) == 1
 
 
 def test_lts_radical_catalog(entries):

@@ -268,7 +268,7 @@ def test_lie_radical_is_solvable_ideal(entries):
 
 def test_lie_center_is_the_lts_center(entries):
     """h acts faithfully on M and the centre of G is graded, so Z(G) = Z(M):
-    the fingerprint reads both centre dimensions off lts_center."""
+    the fingerprint reports the centre dimension of M for both fields."""
     rng = random.Random(1616)
     systems = [e.system for e in entries]
     systems += [transform(t, random_invertible(rng, t.dim)) for t in systems for _ in range(2)]

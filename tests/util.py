@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random rationals, vectors, matrices, and
 the small vector, matrix and subspace operations only the tests use."""
 
+import sys
 from fractions import Fraction
 
 from lietriple.core import TripleSystem
@@ -57,3 +58,20 @@ def sphere_system(k):
             v[a] = -1
             entries[(a, b, b)] = tuple(v)
     return TripleSystem.from_entries(k, entries)
+
+
+def count_calls(monkeypatch, func):
+    """Replace every binding of func in the lietriple modules by a wrapper
+    that records each call; returns the list of records."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "lietriple" or name.startswith("lietriple.")):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
