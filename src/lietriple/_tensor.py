@@ -10,19 +10,19 @@ vector replaced by the pairs (l, x) of its nonzero coordinates, l
 increasing.  ``_from_pairs`` fills in the lower half, negated, from the
 pairs of the upper half, key[0] < key[1], so its output is antisymmetric
 by construction and is not checked again; every table the library builds
-comes from it.  ``_integer`` keeps the table scaled to integers, so each
-table is scaled once, whichever reader asks first.
+comes from it.  It keeps ``_nz`` alone: the dense table (``c`` or ``f``),
+which no invariant reads, is built from ``_nz`` when it is first read,
+by ``==``, ``hash``, ``repr`` or an attribute access, and then kept.
+``_integer`` keeps the table scaled to integers, so each table is scaled
+once, whichever reader asks first.
 """
 
 from dataclasses import fields
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from . import exactla
-from .exactla import vec, vec_from_pairs, vec_nonzeros, zero_vec
-
-_EXACT = frozenset((int, Fraction))
+from .exactla import _EXACT, vec, vec_from_pairs, vec_nonzeros, zero_vec
 
 
 def _map(table, rank: int, fn) -> tuple:
@@ -63,6 +63,16 @@ class Table:
         if bad := first_asymmetry(self._nz, self.RANK):
             raise self._asymmetry(*(s + 1 for s in bad))
 
+    def __getattr__(self, name: str):
+        # called only for a name the instance does not hold: the dense table
+        # of a table built by _from_pairs, built from _nz and kept
+        nz = vars(self).get("_nz")
+        if nz is None or name != fields(self)[1].name:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        zero = zero_vec(self.dim)
+        table = vars(self)[name] = _map(nz, self.RANK, lambda p: vec_from_pairs(p, self.dim) if p else zero)
+        return table
+
     @cached_property
     def _nz(self) -> tuple:
         return nonzeros(getattr(self, fields(self)[1].name), self.RANK)
@@ -77,8 +87,9 @@ class Table:
 
     @cached_property
     def _derived(self):
-        # (M, M, M) or [G, G]: the span of the nonzero cells with key[0] < key[1];
-        # capped_span is looked up in exactla when called
+        # (M, M, M) or [G, G]: the span of the nonzero cells with key[0] < key[1],
+        # unless _from_pairs was handed it; capped_span is looked up in exactla
+        # when called
         return exactla.capped_span(integer_cells(self), self.dim, self.dim)
 
     @classmethod
@@ -99,20 +110,19 @@ class Table:
         return cls._from_pairs(dim, pairs)
 
     @classmethod
-    def _from_pairs(cls, dim: int, pairs: dict):
+    def _from_pairs(cls, dim: int, pairs: dict, _derived=None):
         """Build from {key: the nonzero pairs (l, x) of the cell at key}, each
         key with key[0] < key[1]: the negated pairs go to (key[1], key[0], ...)
-        and every other cell is zero."""
+        and every other cell is zero.  ``_derived``, when given, is the
+        span of the cells, which the caller knows from its construction."""
         cells = dict(pairs)
         for (i, j, *rest), p in pairs.items():
             cells[(j, i, *rest)] = tuple([(l, -x) for l, x in p])
-        nz = _nested(dim, cls.RANK, cells)
-        zero = zero_vec(dim)
-        table = _map(nz, cls.RANK, lambda p: vec_from_pairs(p, dim) if p else zero)
         obj = object.__new__(cls)
-        # set as __init__ would, with _nz kept and no __post_init__
-        dim_name, table_name = (f.name for f in fields(cls))
-        vars(obj).update({dim_name: dim, table_name: table, "_nz": nz})
+        # set as __init__ would, with _nz kept for the table and no __post_init__
+        vars(obj).update({fields(cls)[0].name: dim, "_nz": _nested(dim, cls.RANK, cells)})
+        if _derived is not None:
+            vars(obj)["_derived"] = _derived
         return obj
 
     @classmethod

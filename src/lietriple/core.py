@@ -1,17 +1,18 @@
 """Lie triple systems over the rationals.
 
-A triple system is stored as its full structure tensor: ``c[i][j][k]`` is
-the coordinate vector of the product (e_i, e_j, e_k).  The constructor
+A triple system is given by its structure tensor: ``c[i][j][k]`` is the
+coordinate vector of the product (e_i, e_j, e_k).  The constructor
 enforces the structural part of the axioms (alternation in the first two
 slots, stored antisymmetrically); the cyclic and derivation identities are
 checked by :func:`check_axioms`.
 
 Each system keeps the nonzero coordinates of its products, ``_nz``, and
-the triple product, the integer tensor, the derived series and the centre
-read only those.  ``TripleSystem`` is a ``_tensor.Table`` of rank 3, which
-owns the layout of ``c`` and ``_nz``: every system built here or by
-``parse_lts`` comes from the pairs of the upper half through
-``_from_pairs``, antisymmetric by construction.  Only
+the triple product, the integer tensor, the axiom check, the derived
+series and the centre read only those.  ``TripleSystem`` is a
+``_tensor.Table`` of rank 3, which owns the layout of ``c`` and ``_nz``:
+every system built here or by ``parse_lts`` comes from the pairs of the
+upper half through ``_from_pairs``, antisymmetric by construction, and
+builds the dense ``c`` only when it is read.  Only
 ``TripleSystem(dim, c)`` reads the pairs off ``c`` and checks the tensor.
 
 Spans and kernels (the derived series, the centre, the ideal tests) run on
@@ -142,12 +143,13 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
     it), so only i < j < k; the derivation residual of D_{e_i,e_j} on
     (u,v,w) is antisymmetric in (i,j) and in (u,v), so only i < j and
     u < v.  Both identities are homogeneous in the tensor, so the scan runs
-    on the sparse integer tensor.
+    on the sparse integer tensor.  The residuals of one D_{e_i,e_j} on
+    every (u,v,w) are summed over the nonzero products only, and the least
+    (u,v,w) left nonzero is the first violation of that D.
     """
     n = t.dim
     d, S = t._integer
-    rng = range(n)
-    for i in rng:
+    for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 r = [0] * n
@@ -157,33 +159,53 @@ def check_axioms(t: TripleSystem) -> AxiomVerdict:
                 if any(r):
                     residual = tuple(Fraction(x, d) for x in r)
                     return AxiomVerdict(False, "cyclic", (i + 1, j + 1, k + 1), residual)
-    # residual of D = D_{e_i,e_j} on (u, v, w):
-    # D(u,v,w) - (Du,v,w) - (u,Dv,w) - (u,v,Dw), in units of 1/d^2
-    for i in rng:
+    # the nonzero products (a, b, c) by a, and those with a < b by c, with the
+    # offset of (a, b, 0) in r below
+    first = [[(b, c, p) for b, Sab in enumerate(Sa) for c, p in enumerate(Sab) if p] for Sa in S]
+    third = [[] for _ in range(n)]
+    for a, cells in enumerate(first):
+        for b, c, p in cells:
+            if a < b:
+                third[c].append(((a * n + b) * n * n, p))
+    # r[o + l], o = ((u·n + v)·n + w)·n: coordinate l of the residual of one D
+    # on (u, v, w), in units of 1/d^2; all zero again after a D that passes
+    r = [0] * n**4
+    for i in range(n):
         for j in range(i + 1, n):
             D = S[i][j]
             if not any(D):
                 continue
-            for u in rng:
-                for v in range(u + 1, n):
-                    for w in rng:
-                        r = [0] * n
-                        for k, x in S[u][v][w]:
-                            for l, y in D[k]:
-                                r[l] += x * y
-                        for k, x in D[u]:
-                            for l, y in S[k][v][w]:
-                                r[l] -= x * y
-                        for k, x in D[v]:
-                            for l, y in S[u][k][w]:
-                                r[l] -= x * y
-                        for k, x in D[w]:
-                            for l, y in S[u][v][k]:
-                                r[l] -= x * y
-                        if any(r):
-                            indices = (i + 1, j + 1, u + 1, v + 1, w + 1)
-                            residual = tuple(Fraction(x, d * d) for x in r)
-                            return AxiomVerdict(False, "derivation", indices, residual)
+            # D(u,v,w) - (Du,v,w) - (u,Dv,w) - (u,v,Dw), each term over the
+            # nonzero products it reads; (u,Dv,w) = -(Dv,u,w)
+            for w, cells in enumerate(third):
+                for o, p in cells:
+                    o += w * n
+                    for k, x in p:
+                        for l, y in D[k]:
+                            r[o + l] += x * y
+            for a, Da in enumerate(D):
+                for k, x in Da:
+                    # (Da, b, c) is the term (Du,v,w) of (a, b, c) or (u,Dv,w) of (b, a, c)
+                    for b, c, p in first[k]:
+                        if a < b:
+                            o, z = ((a * n + b) * n + c) * n, -x
+                        elif b < a:
+                            o, z = ((b * n + a) * n + c) * n, x
+                        else:
+                            continue
+                        for l, y in p:
+                            r[o + l] += z * y
+                    for o, p in third[k]:
+                        o += a * n
+                        for l, y in p:
+                            r[o + l] -= x * y
+            if r.count(0) != len(r):
+                # the first nonzero coordinate lies in the least (u, v, w) left nonzero
+                o = r.index(next(filter(None, r)))
+                o -= o % n
+                residual = tuple(Fraction(x, d * d) for x in r[o : o + n])
+                indices = (i + 1, j + 1, o // n**3 + 1, o // n**2 % n + 1, o // n % n + 1)
+                return AxiomVerdict(False, "derivation", indices, residual)
     return AxiomVerdict(True)
 
 

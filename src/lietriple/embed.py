@@ -7,21 +7,27 @@ D_{x,y} : z -> (x, y, z), with brackets
 for X, Y in M and A, B in h.  M occupies the first n coordinates of G and
 carries grading sign -, h the rest with sign +.
 
-Everything is read off the structure tensor, with no matrix products.  The
-matrix of D_{e_i,e_j} has column k equal to c[i][j][k].  A D_{e_i,e_j} kept
-in the basis of h is its own basis vector; the h-coordinates of any other
-come from its entries at the echelon pivots of h and one inverse of an
-h_dim x h_dim matrix, computed only when some D_{e_i,e_j} was not kept.
+Everything is read off the nonzero products, with no matrix products.
+The matrix of D_{e_i,e_j} has column k equal to c[i][j][k].  A D_{e_i,e_j}
+kept in the basis of h is its own basis vector; the h-coordinates of any
+other come from its entries at the echelon pivots of h and one inverse of
+an h_dim x h_dim matrix, computed only when some D_{e_i,e_j} was not kept.
 Both steps read the matrices scaled to integers by the tensor's least
-common denominator, which changes neither the span nor the h-coordinates.
-Each D_{p,q} is a derivation of the triple product, so
+common denominator d, which changes neither the span nor the
+h-coordinates.  Each D_{p,q} is a derivation of the triple product, so
 
     [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)},
 
 and each bracket [A, B] of h is a combination of those coordinates,
-summed over their nonzero entries only.  The identity needs valid
-axioms, which is why the axioms are checked before anything else is
-built.
+summed over their nonzero entries only.  The sums run in ints, on the
+integer tensor and on the h-coordinates times the least common
+denominator q of the inverse, and each bracket coordinate is formed as a
+``Fraction`` once, over d·q.  The identity needs valid axioms, which is
+why the axioms are checked before anything else is built.
+
+[G, G] is read off the grading rather than spanned again: [M, M] = h,
+[h, M] = (M, M, M) and [h, h] lies in h, so [G, G] = (M, M, M) + h,
+and the algebra is handed that span with its brackets.
 
 The radical of G and its parts in M and in h are read off one matrix:
 the rows of K·[G, G], reduced once per algebra, each of which lies in
@@ -31,18 +37,19 @@ the M or the h block (see ``_radical_blocks``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
     Matrix,
-    ONE,
     Subspace,
     inverse,
     kernel,
     unit_vec,
     vec,
-    vec_nonzeros,
+    vec_from_pairs,
 )
 from .lie import Grading, LieAlgebra, require_grading
 
@@ -88,19 +95,6 @@ def inner_derivation(t: TripleSystem, x, y) -> Matrix:
     return Matrix.from_rows(cols, n).transpose()
 
 
-def _combination(terms) -> tuple:
-    """The nonzero pairs (a, z), a increasing, of the sum of x·w over the
-    pairs (x, w), each w given by its nonzero pairs."""
-    acc = {}
-    for x, w in terms:
-        if x:
-            for a, y in w:
-                # Fraction first: int * Fraction takes the slower Fraction.__rmul__
-                z = y * x
-                acc[a] = acc[a] + z if a in acc else z
-    return tuple([(a, z) for a, z in sorted(acc.items()) if z])
-
-
 def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """Build G = M + h with a deterministic basis of h.
 
@@ -109,10 +103,10 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     """
     require_axioms(t)
     n = t.dim
-    c, nz = t.c, t._nz
+    nz = t._nz
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # d·D_{e_i,e_j} in ints, flattened column by column: column k is d·c[i][j][k]
-    S = t._integer[1]
+    d, S = t._integer
     flat = {ij: [0] * (n * n) for ij in pairs}
     for (i, j), v in flat.items():
         for k, p in enumerate(S[i][j]):
@@ -122,42 +116,62 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     chosen = [ij for ij in pairs if h.insert(flat[ij])]
     h_dim = len(chosen)
     index = {ij: a for a, ij in enumerate(chosen)}
+    # the h-coordinates are kept times q, the least common denominator of Q⁻¹
+    q = 1
     if h_dim < len(pairs):
         # h's echelon rows are diagonal on h.pivots, so a flat D of the span is
         # (D at the pivots)·Q⁻¹ over the chosen flats; Q[a][s] is flat a at pivot s
         Q = Matrix(h_dim, h_dim, tuple(tuple(flat[ij][p] for p in h.pivots) for ij in chosen))
-        Qinv = [vec_nonzeros(r) for r in inverse(Q).entries]
+        Qinv = inverse(Q).entries
+        q = lcm(*(x.denominator for r in Qinv for x in r))
+        Qinv = [[(b, x.numerator * (q // x.denominator)) for b, x in enumerate(r) if x] for r in Qinv]
 
-    # K[i][j]: the nonzero h-coordinates (a, x) of D_{e_i,e_j}, antisymmetric;
-    # a chosen D is the unit vector of its index
+    # K[i][j]: the nonzero pairs (a, q·x) of the h-coordinates x of D_{e_i,e_j},
+    # antisymmetric; a chosen D is the unit vector of its index
     K = [[()] * n for _ in range(n)]
     # brackets[(i, j)], i < j: the nonzero pairs (l, x) of [e_i, e_j] in G
     brackets = {}
     for i, j in pairs:
         a = index.get((i, j))
         if a is None:
-            K[i][j] = _combination(zip([flat[(i, j)][p] for p in h.pivots], Qinv))
+            acc = {}
+            for s, p in enumerate(h.pivots):
+                if x := flat[(i, j)][p]:
+                    for b, y in Qinv[s]:
+                        acc[b] = acc.get(b, 0) + x * y
+            K[i][j] = tuple([(b, x) for b, x in sorted(acc.items()) if x])
         else:
-            K[i][j] = ((a, ONE),)
-        K[j][i] = tuple([(d, -x) for d, x in K[i][j]])
+            K[i][j] = ((a, q),)
+        K[j][i] = tuple([(b, -x) for b, x in K[i][j]])
         if K[i][j]:
-            brackets[(i, j)] = tuple([(n + d, x) for d, x in K[i][j]])
-    for a, (p, q) in enumerate(chosen):
-        npq = nz[p][q]
-        for i in range(n):
-            if npq[i]:
-                # stored as [e_i, e_{n+a}] = -[A, X] = -A·e_i
-                brackets[(i, n + a)] = tuple([(l, -x) for l, x in npq[i]])
+            brackets[(i, j)] = tuple([(n + b, Fraction(x, q)) for b, x in K[i][j]])
+    for a, (p, r) in enumerate(chosen):
+        for k, col in enumerate(nz[p][r]):
+            if col:
+                # stored as [e_k, e_{n+a}] = -[A, X] = -A·e_k
+                brackets[(k, n + a)] = tuple([(l, -x) for l, x in col])
+        D = S[p][r]  # d·D_{p,r}, column by column
         for b in range(a + 1, h_dim):
             u, v = chosen[b]
-            # [D_{p,q}, D_{u,v}] = D_{(p,q,u),v} + D_{u,(p,q,v)}
-            terms = [(x, K[l][v]) for l, x in npq[u]] + [(x, K[u][l]) for l, x in npq[v]]
-            acc = _combination(terms)
-            if acc:
-                brackets[(n + a, n + b)] = tuple([(n + d, x) for d, x in acc])
-    algebra = LieAlgebra._from_pairs(n + h_dim, brackets)
+            # [D_{p,r}, D_{u,v}] = D_{(p,r,u),v} + D_{u,(p,r,v)}, in units of 1/(d·q)
+            acc = {}
+            for l, x in D[u]:
+                for c, y in K[l][v]:
+                    acc[c] = acc.get(c, 0) + x * y
+            for l, x in D[v]:
+                for c, y in K[u][l]:
+                    acc[c] = acc.get(c, 0) + x * y
+            if bracket := [(n + c, Fraction(x, d * q)) for c, x in sorted(acc.items()) if x]:
+                brackets[(n + a, n + b)] = tuple(bracket)
+    # [M, M] = h and [h, M] = (M, M, M), so [G, G] is (M, M, M) + h: the rows
+    # of t's derived span, padded, then the unit rows of h
+    m = n + h_dim
+    rows = [row + (0,) * h_dim for row in t._derived._rows]
+    rows += [(0,) * (n + a) + (1,) + (0,) * (h_dim - 1 - a) for a in range(h_dim)]
+    algebra = LieAlgebra._from_pairs(m, brackets, _derived=Subspace._of_rows(m, tuple(rows)))
     grading = Grading(tuple([-1] * n + [1] * h_dim))
-    h_basis = tuple(Matrix.from_rows(c[p][q], n).transpose() for p, q in chosen)
+    # the matrix of D_{p,r} has column k = (e_p, e_r, e_k)
+    h_basis = tuple(Matrix(n, n, tuple(zip(*(vec_from_pairs(col, n) for col in nz[p][r])))) for p, r in chosen)
     return StandardEmbedding(t, algebra, grading, h_basis, h_dim)
 
 

@@ -29,6 +29,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 _FRACTION = frozenset((Fraction,))
 _INT = frozenset((int,))
+_EXACT = _INT | _FRACTION
 
 
 class SingularMatrix(ValueError):
@@ -92,7 +93,8 @@ def vec_is_zero(a) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of rationals, row-major."""
+    """Immutable dense matrix of rationals, row-major; every entry is an
+    ``int`` or a ``Fraction``."""
 
     rows: int
     cols: int
@@ -101,6 +103,12 @@ class Matrix:
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match declared shape")
+        for r in self.entries:
+            if not _EXACT.issuperset(map(type, r)):
+                x = next(x for x in r if type(x) not in _EXACT)
+                if isinstance(x, (float, bool)):
+                    rat(x)  # names the float or the bool, as every coercion does
+                raise ValueError(f"matrix entry {x!r} is not an int or a Fraction")
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> Matrix:
@@ -127,6 +135,7 @@ class Matrix:
 
     def vecmat(self, v):
         """Row vector times matrix."""
+        v = vec(v)
         if len(v) != self.rows:
             raise ValueError("dimension mismatch")
         return tuple(

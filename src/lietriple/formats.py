@@ -34,9 +34,10 @@ from .lie import Grading, LieAlgebra
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
 
-# The largest dimensions a header may declare.  A parser allocates the dense
-# tensor (n^4 slots for LTS n, m^3 for LIE m) from the header alone, so larger
-# headers are refused before any allocation.  MAX_LIE_DIM is n + n(n-1)/2 for
+# The largest dimensions a header may declare.  The tables parsed are sparse,
+# but the axiom check and the embedding of LTS n allocate n^4 slots, as does
+# the dense table of LIE m (m^3) when read, so larger headers are refused
+# before anything is built.  MAX_LIE_DIM is n + n(n-1)/2 for
 # n = MAX_LTS_DIM, the largest standard embedding of an accepted system, so
 # every embedding written by ``embed -o`` parses back.
 MAX_LTS_DIM = 12

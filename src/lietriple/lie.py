@@ -10,8 +10,9 @@ rank 2, which owns the layout of ``f`` and ``_nz``: ``from_entries``,
 ``parse_lie`` and ``standard_embedding`` build from the pairs of the upper
 half through ``_from_pairs``, antisymmetric by construction.  Only
 ``LieAlgebra(dim, f)`` reads the pairs off ``f`` and checks the table.
-[G, G] is spanned once per algebra too: it is the second term of both
-series and the span whose Killing-orthogonal complement is the radical.
+[G, G] is spanned at most once per algebra too: it is the second term of
+both series and the span whose Killing-orthogonal complement is the
+radical, and ``standard_embedding`` hands its algebra that span.
 Spans and kernels run on the brackets scaled to integers by one least
 common denominator d and on the Killing sums d²·K: the same spans, with
 ``Fraction``s only in the returned subspaces, formed when their bases are

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -200,6 +201,33 @@ def test_subspace_intersect_against_membership_in_both_inputs():
 def test_matrix_requires_consistent_shape():
     with pytest.raises(ValueError):
         Matrix(2, 2, ((Fraction(1),),))
+
+
+def test_matrix_refuses_entries_that_are_not_exact():
+    # a float or a bool is named as every coercion names it; anything else
+    # that is not an int or a Fraction gets the table constructors' wording
+    for entry, message in (
+        (0.5, "0.5 is a float, not an exact rational"),
+        (True, "True is a bool, not an exact rational"),
+        ("1/2", "matrix entry '1/2' is not an int or a Fraction"),
+        (None, "matrix entry None is not an int or a Fraction"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Matrix(2, 2, ((1, Fraction(1, 3)), (Fraction(2), entry)))
+    # so no float reaches vecmat, * or sub, whose results it would turn into floats
+    one = Matrix(1, 1, ((1,),))
+    with pytest.raises(ValueError, match="^0.5 is a float, not an exact rational$"):
+        one.vecmat((0.5,))
+    with pytest.raises(ValueError, match="^0.5 is a float, not an exact rational$"):
+        one * Matrix(1, 1, ((0.5,),))
+    with pytest.raises(ValueError, match="^0.5 is a float, not an exact rational$"):
+        one.sub(Matrix(1, 1, ((0.5,),)))
+    # ints and Fractions give exact results through all three
+    half = Matrix(1, 1, ((Fraction(1, 2),),))
+    assert half.vecmat((1,)) == (Fraction(1, 2),)
+    assert (one * half).entries == ((Fraction(1, 2),),)
+    assert one.sub(half).entries == ((Fraction(1, 2),),)
+    assert all(type(x) is Fraction for m in (one * half, one.sub(half)) for r in m.entries for x in r)
 
 
 def test_subspace_ops_reject_ambient_mismatch():

@@ -1,7 +1,9 @@
 """The invariants read from the cached nonzero brackets and products agree
 with the dense reference scans of ``invariants_reference``."""
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -10,10 +12,11 @@ import pytest
 
 import embed_reference
 import invariants_reference as ref
-from lietriple import core, exactla, lie
+from lietriple import _tensor, core, exactla, lie
 from lietriple.classify import fingerprint
 from lietriple.core import (
     TripleSystem,
+    check_axioms,
     derived_series,
     derived_subspace,
     direct_sum,
@@ -23,7 +26,17 @@ from lietriple.core import (
     triple_product,
 )
 from lietriple.embed import decompose, lts_radical, standard_embedding
-from lietriple.exactla import Echelon, Matrix, Subspace, capped_span, full_subspace, inverse, kernel, span
+from lietriple.exactla import (
+    Echelon,
+    Matrix,
+    Subspace,
+    capped_span,
+    full_subspace,
+    inverse,
+    kernel,
+    span,
+    unit_vec,
+)
 from lietriple.formats import parse_lie, parse_lts, serialize_lie, serialize_lts
 from lietriple.lie import (
     Grading,
@@ -246,7 +259,8 @@ def test_fingerprint_forms_no_dense_products_and_centres_get_no_zero_rows(monkey
     assert all(any(v) for v in inserted)
 
 
-def test_fingerprint_spans_the_derived_algebra_once(monkeypatch, by_label):
+def recorded_caps(monkeypatch) -> list:
+    """The list to which each later call of capped_span appends its cap."""
     caps = []
     capped_span = exactla.capped_span
 
@@ -256,13 +270,46 @@ def test_fingerprint_spans_the_derived_algebra_once(monkeypatch, by_label):
 
     for module in (exactla, core, lie):
         monkeypatch.setattr(module, "capped_span", record)
+    return caps
+
+
+def test_fingerprint_spans_the_derived_algebra_once(monkeypatch, by_label):
+    caps = recorded_caps(monkeypatch)
     # h is nonzero, so only a span inside G is capped at g_dim
     for t in (sphere_system(4), by_label["dim3-VI"].system, by_label["split-2"].system):
         caps.clear()
         fp = fingerprint(t)
         assert fp.h_dim > 0
-        # [G, G]: the second term of both series and the span the radical is orthogonal to
-        assert caps.count(fp.g_dim) == 1, t
+        # [G, G], the second term of both series and the span the radical is
+        # orthogonal to, is (M, M, M) + h, handed to the algebra by the embedding
+        assert caps.count(fp.g_dim) == 0, t
+
+
+def test_parsed_algebra_spans_the_derived_algebra_once(monkeypatch, by_label):
+    # an algebra read from a .lie file has no construction to read [G, G] off
+    caps = recorded_caps(monkeypatch)
+    for t in (sphere_system(4), by_label["dim3-VI"].system, by_label["split-2"].system):
+        emb = standard_embedding(t)
+        want = [f(emb.algebra) for f in (lie_derived_series, lower_central_series, lie_radical)]
+        g, _ = parse_lie(serialize_lie(emb.algebra, emb.grading))
+        caps.clear()
+        assert [f(g) for f in (lie_derived_series, lower_central_series, lie_radical)] == want, t
+        assert caps.count(g.dim) == 1, t
+
+
+def test_embedding_hands_its_algebra_the_span_of_its_brackets(entries):
+    # [G, G] = (M, M, M) + h, read off the grading, is the span of the nonzero
+    # brackets that the algebra would otherwise take
+    rng = random.Random(31)
+    catalog = [e.system for e in entries]
+    systems = catalog + [transform(t, random_invertible(rng, t.dim)) for t in catalog for _ in range(2)]
+    systems += [sphere_system(k) for k in range(2, 8)]
+    for t in systems:
+        g = standard_embedding(t).algebra
+        assert "_derived" in vars(g), t
+        want = capped_span(_tensor.integer_cells(g), g.dim, g.dim)
+        assert (g._derived.dim, g._derived._rows) == (want.dim, want._rows), t
+        assert g._derived == want, t
 
 
 def test_derived_series_of_proper_ideals_matches_dense_reference(entries):
@@ -323,6 +370,20 @@ def fraction_arithmetic(call):
     """The names of the Fraction operators that call() runs; forming a
     Fraction, comparing one or reading its parts is not counted."""
     return profiled_calls(call, FRACTION_ARITHMETIC, "fractions.py")
+
+
+def test_axiom_check_and_embedding_do_no_fraction_arithmetic(by_label):
+    # dim3-VI keeps two of its three D_{e_i,e_j}, so a change of it takes the Q⁻¹ path
+    changed = transform(by_label["dim3-VI"].system, random_invertible(random.Random(29), 3))
+    assert standard_embedding(changed).h_dim < 3
+    for text in (serialize_lts(sphere_system(7)), serialize_lts(changed)):
+        # each call starts from a fresh system, which scales its table and checks its axioms
+        t = parse_lts(text)
+        assert fraction_arithmetic(lambda: embed_reference.standard_embedding(t)), text
+        t = parse_lts(text)
+        assert fraction_arithmetic(lambda: check_axioms(t)) == [], text
+        t = parse_lts(text)
+        assert fraction_arithmetic(lambda: standard_embedding(t)) == [], text
 
 
 def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
@@ -390,6 +451,63 @@ def test_subspaces_equal_hash_and_print_like_eager_ones(entries):
                 assert got.vectors() == w.vectors() and got.is_zero() == w.is_zero(), (t, name)
                 compared += 1
     assert compared >= 2000
+
+
+def test_standard_embedding_matches_reference_under_fractional_changes(entries):
+    # changes by matrices with entries such as 7/5 and -11/3: the integer
+    # sums run on the scale d·q of the tensor and of Q⁻¹, and each bracket is
+    # formed once over it
+    rng = random.Random(53)
+    fixed = {2: [["7/5", "-11/3"], [1, 2]], 3: [["7/5", "-11/3", 0], [0, 1, "2/5"], [1, 0, 1]]}
+    rejected = 0
+    for t in [e.system for e in entries] + [sphere_system(k) for k in (3, 4)]:
+        changes = [random_invertible(rng, t.dim, -11, 11, (1, 3, 5))]
+        changes += [Matrix.from_rows(fixed[t.dim])] if t.dim in fixed else []
+        for T in changes:
+            s = transform(t, T)
+            got, want = standard_embedding(s), embed_reference.standard_embedding(s)
+            assert serialize_lie(got.algebra, got.grading) == serialize_lie(want.algebra, want.grading), s
+            assert got.h_basis == want.h_basis and got.h_dim == want.h_dim, s
+            assert got.algebra == want.algebra, s
+            rejected += got.h_dim < s.dim * (s.dim - 1) // 2
+    assert rejected >= 20
+
+
+def test_dense_tables_are_built_when_first_read(monkeypatch, entries):
+    # fingerprint reads the nonzero pairs only; c and f are built from them
+    # when first read, and equal the tables the public constructors hold
+    embeddings = []
+
+    def record(t):
+        embeddings.append(standard_embedding(t))
+        return embeddings[-1]
+
+    monkeypatch.setattr(sys.modules["lietriple.classify"], "standard_embedding", record)
+    copies = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    rng = random.Random(37)
+    catalog = [e.system for e in entries]
+    texts = [serialize_lts(t) for t in catalog + [sphere_system(2), sphere_system(5)]]
+    texts += [serialize_lts(transform(t, random_invertible(rng, t.dim))) for t in catalog]
+    for text in texts:
+        t = parse_lts(text)
+        fingerprint(t)
+        g = embeddings[-1].algebra
+        assert "c" not in vars(t) and "f" not in vars(g), text
+        before = [(copy_(t), copy_(g)) for copy_ in copies]
+        assert all("c" not in vars(a) and "f" not in vars(b) for a, b in before), text
+        # the dense tables, read off the products and brackets of the basis vectors
+        e, u = [unit_vec(t.dim, i) for i in range(t.dim)], [unit_vec(g.dim, i) for i in range(g.dim)]
+        c = tuple(tuple(tuple(triple_product(t, x, y, z) for z in e) for y in e) for x in e)
+        f = tuple(tuple(bracket(g, x, y) for y in u) for x in u)
+        assert t.c == c and g.f == f, text
+        assert vars(t)["c"] is t.c and vars(g)["f"] is g.f, text
+        assert {type(x) for x in _tensor.scalars(t.c, 3)} | {type(x) for x in _tensor.scalars(g.f, 2)} <= {Fraction}
+        for obj, dense in ((t, TripleSystem(t.dim, c)), (g, LieAlgebra(g.dim, f))):
+            assert dense == obj and hash(dense) == hash(obj) and repr(dense) == repr(obj), text
+        after = [(copy_(t), copy_(g)) for copy_ in copies]
+        for a, b in before + after:
+            assert a == t and hash(a) == hash(t) and a._nz == t._nz, text
+            assert b == g and hash(b) == hash(g) and b._nz == g._nz, text
 
 
 def test_decompose_matches_projection_reference(entries):
