@@ -13,6 +13,8 @@ by construction and is not checked again; every table the library builds
 comes from it.  It keeps ``_nz`` alone: the dense table (``c`` or ``f``),
 which no invariant reads, is built from ``_nz`` when it is first read,
 by ``==``, ``hash``, ``repr`` or an attribute access, and then kept.
+That mechanism, ``Lazy``, alone writes an instance's attributes directly,
+and ``embed.StandardEmbedding`` builds its ``h_basis`` through it too.
 ``_integer`` keeps the table scaled to integers, so each table is scaled
 once, whichever reader asks first.
 """
@@ -46,7 +48,25 @@ def _nested(dim: int, rank: int, cells: dict, key=()) -> tuple:
     return tuple([_nested(dim, rank, cells, key + (i,)) for i in range(dim)])
 
 
-class Table:
+class Lazy:
+    """A frozen dataclass whose instances ``_made`` may leave a field out,
+    built by ``_build(name)`` when first read (as ``==``, ``hash`` or ``repr`` do) and kept."""
+
+    def __getattr__(self, name: str):
+        # called only for a name the instance does not hold
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = self._build(name)
+        return value
+
+    @classmethod
+    def _made(cls, **attrs):
+        obj = object.__new__(cls)  # set as __init__ would, with no __post_init__
+        vars(obj).update(attrs)
+        return obj
+
+
+class Table(Lazy):
     """A frozen dataclass with the fields (dim, table), the table
     antisymmetric in its first two slots.  A subclass sets ``RANK``, the
     word ``_KEY`` that names a bad key of ``from_entries``, the message
@@ -63,15 +83,10 @@ class Table:
         if bad := first_asymmetry(self._nz, self.RANK):
             raise self._asymmetry(*(s + 1 for s in bad))
 
-    def __getattr__(self, name: str):
-        # called only for a name the instance does not hold: the dense table
-        # of a table built by _from_pairs, built from _nz and kept
-        nz = vars(self).get("_nz")
-        if nz is None or name != fields(self)[1].name:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _build(self, name: str):
+        # the dense table of a table built by _from_pairs, from _nz
         zero = zero_vec(self.dim)
-        table = vars(self)[name] = _map(nz, self.RANK, lambda p: vec_from_pairs(p, self.dim) if p else zero)
-        return table
+        return _map(self._nz, self.RANK, lambda p: vec_from_pairs(p, self.dim) if p else zero)
 
     @cached_property
     def _nz(self) -> tuple:
@@ -118,12 +133,11 @@ class Table:
         cells = dict(pairs)
         for (i, j, *rest), p in pairs.items():
             cells[(j, i, *rest)] = tuple([(l, -x) for l, x in p])
-        obj = object.__new__(cls)
-        # set as __init__ would, with _nz kept for the table and no __post_init__
-        vars(obj).update({fields(cls)[0].name: dim, "_nz": _nested(dim, cls.RANK, cells)})
+        # _nz kept for the table
+        attrs = {fields(cls)[0].name: dim, "_nz": _nested(dim, cls.RANK, cells)}
         if _derived is not None:
-            vars(obj)["_derived"] = _derived
-        return obj
+            attrs["_derived"] = _derived
+        return cls._made(**attrs)
 
     @classmethod
     def abelian(cls, dim: int):

@@ -98,9 +98,13 @@ def first_separator(a: Fingerprint, b: Fingerprint) -> str | None:
 def _witness(a: TripleSystem, b: TripleSystem, budget: int) -> IsoResult:
     """Witness step for fingerprint-tied systems: the identity for equal
     tensors, else the bounded search, whose hit is verified by an exact
-    transform before being returned."""
+    transform before being returned.  It runs only when the Killing forms
+    on M (``TripleSystem._m_inertia``) have the same inertia: a witness
+    carries one form to the other, so with different ones it finds none."""
     if a._nz == b._nz:
         return IsoResult("isomorphic", Matrix.identity(a.dim))
+    if a._m_inertia != b._m_inertia:
+        return IsoResult("unknown")
     T = search_witness(a, b, budget)
     if T is None:
         return IsoResult("unknown")

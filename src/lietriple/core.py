@@ -36,6 +36,7 @@ from .exactla import (
     Subspace,
     ZERO,
     capped_span,
+    form_inertia,
     full_subspace,
     inverse,
     kernel,
@@ -85,6 +86,22 @@ class TripleSystem(_tensor.Table):
         n = self.dim
         rank = capped_span(_tensor.slot_rows(self, (0, 2)), n, n).dim
         return n, derived_series(self, full_subspace(n)).dims, n - rank
+
+    @cached_property
+    def _m_inertia(self) -> tuple:
+        # the inertia of the Killing form of the standard embedding on M, with no
+        # embedding built: K(x, y) = -tr(z -> (y, z, x)) - tr(z -> (x, z, y)), read
+        # off the integer tensor d·c, d > 0
+        S = self._integer[1]
+        K = [[0] * self.dim for _ in S]
+        for a, Sa in enumerate(S):
+            for k, Sak in enumerate(Sa):
+                for b, p in enumerate(Sak):
+                    for l, x in p:
+                        if l == k:  # a term of the trace of z -> (e_a, z, e_b)
+                            K[a][b] -= x
+                            K[b][a] -= x
+        return form_inertia(K)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._tensor import Lazy
 from .core import TripleSystem, require_axioms, triple_product
 from .exactla import (
     Echelon,
@@ -55,7 +56,7 @@ from .lie import Grading, LieAlgebra, require_grading
 
 
 @dataclass(frozen=True)
-class StandardEmbedding:
+class StandardEmbedding(Lazy):
     """A triple system together with its enveloping graded Lie algebra.
 
     Built by standard_embedding, it is canonical by construction: the basis
@@ -69,6 +70,12 @@ class StandardEmbedding:
     grading: Grading
     h_basis: tuple  # tuple of n x n Matrix, the chosen inner-derivation basis
     h_dim: int
+
+    def _build(self, name: str):
+        # h_basis, which no invariant reads, from the chosen pairs (p, r) of
+        # standard_embedding: the matrix of D_{p,r} has column k = (e_p, e_r, e_k)
+        n, nz = self.source.dim, self.source._nz
+        return tuple(Matrix(n, n, tuple(zip(*(vec_from_pairs(col, n) for col in nz[p][r])))) for p, r in self._chosen)
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,8 @@ def standard_embedding(t: TripleSystem) -> StandardEmbedding:
     rows += [(0,) * (n + a) + (1,) + (0,) * (h_dim - 1 - a) for a in range(h_dim)]
     algebra = LieAlgebra._from_pairs(m, brackets, _derived=Subspace._of_rows(m, tuple(rows)))
     grading = Grading(tuple([-1] * n + [1] * h_dim))
-    # the matrix of D_{p,r} has column k = (e_p, e_r, e_k)
-    h_basis = tuple(Matrix(n, n, tuple(zip(*(vec_from_pairs(col, n) for col in nz[p][r])))) for p, r in chosen)
-    return StandardEmbedding(t, algebra, grading, h_basis, h_dim)
+    # the chosen pairs are kept for h_basis
+    return StandardEmbedding._made(source=t, algebra=algebra, grading=grading, h_dim=h_dim, _chosen=tuple(chosen))
 
 
 def is_canonical(e: StandardEmbedding) -> bool:

@@ -439,3 +439,44 @@ def inverse(m: Matrix) -> Matrix:
         raise SingularMatrix("matrix is singular")
     # row p of the reduced [I | m⁻¹] is the echelon row of pivot p divided by its pivot entry
     return Matrix(n, n, tuple([_divided(row[n:], row[p]) for p, row in sorted(zip(ech.pivots, ech.rows))]))
+
+
+def form_inertia(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero): the inertia of the symmetric form with
+    the integer rows ``rows``, by Schur complements (no eigenvalues).
+
+    The inertia is the sign of a nonzero diagonal pivot plus the inertia of
+    its Schur complement (Haynsworth).  When the diagonal left is zero but
+    A[p][q] is not, adding row and column q to row and column p is a
+    congruence that puts 2·A[p][q] on the diagonal.  Fraction-free (cf.
+    Bareiss): the rows hold the complement times the last pivot entry,
+    prev, so the update (d·a_ij - a_ip·a_pj) / prev on pivot entry d
+    divides exactly, and d·prev has the sign of the complement's pivot.
+    A pivot whose row is otherwise zero leaves the rest as it is, at its
+    scale, so a diagonal form is read off with no rescaling.
+    """
+    live = [i for i, r in enumerate(rows) if any(r)]  # a zero row adds a zero
+    A, prev = [[rows[i][j] for j in live] for i in live], 1  # the rows and columns left
+    signs = []  # for each pivot, whether the complement's pivot is negative
+    while A:
+        p = next((i for i, r in enumerate(A) if r[i]), None)
+        if p is None:
+            p, q = next(((i, j) for i, r in enumerate(A) for j, x in enumerate(r) if x), (None, None))
+            if p is None:
+                break
+            A[p] = [x + y for x, y in zip(A[p], A[q])]
+            A[p][p] = 2 * A[q][p]  # A[p][p] + A[p][q] + A[q][p] + A[q][q], with A[p][p] = A[q][q] = 0
+        rp = A.pop(p)
+        d = rp.pop(p)
+        signs.append((d < 0) != (prev < 0))
+        for ri in A:  # only row p is read from here on, so its column needs no update before it goes
+            del ri[p]
+        if not any(rp):  # the complement is the rest, kept at its scale prev
+            continue
+        for i, ri in enumerate(A):
+            if x := rp[i]:
+                A[i] = [(d * a - x * b) // prev for a, b in zip(ri, rp)]
+            elif d != prev:
+                A[i] = [d * a // prev for a in ri]
+        prev = d
+    return len(signs) - sum(signs), sum(signs), len(rows) - len(signs)

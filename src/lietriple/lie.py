@@ -16,8 +16,8 @@ radical, and ``standard_embedding`` hands its algebra that span.
 Spans and kernels run on the brackets scaled to integers by one least
 common denominator d and on the Killing sums d²·K: the same spans, with
 ``Fraction``s only in the returned subspaces, formed when their bases are
-read.  The Killing signature runs on d²·K too, and ``killing_form``
-builds the ``Fraction`` form from it when called.
+read.  The Killing signature runs on d²·K too (``exactla.form_inertia``),
+and ``killing_form`` builds the ``Fraction`` form from it when called.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .exactla import (
     Subspace,
     ZERO,
     capped_span,
+    form_inertia,
     full_subspace,
     kernel,
     span,
@@ -228,43 +229,8 @@ def _killing_form(g: LieAlgebra) -> list:
 
 
 def killing_signature(g: LieAlgebra) -> KillingSignature:
-    """Exact signature by Schur complements (no eigenvalues).
-
-    The inertia of a symmetric form is the sign of a nonzero pivot d plus
-    the inertia of d's Schur complement (Haynsworth).  The loop takes a
-    nonzero diagonal entry as d and replaces the rest of the form by its
-    complement.  When the remaining diagonal is all zero but A[p][q] is
-    not, adding row and column q to row and column p is a congruence that
-    puts 2·A[p][q] on the diagonal, which is nonzero in characteristic 0.
-    The loop stops when the rest of the form is zero.
-    """
-    m = g.dim
-    # on d²·K: the same pivots in the same order, each scaled by d² > 0, so the same signs
-    A = {i: list(r) for i, r in enumerate(g._killing_sums)}
-    pos = neg = 0
-    while A:
-        p = next((i for i in A if A[i][i]), None)
-        if p is None:
-            p, q = next(((i, j) for i in A for j in A if A[i][j]), (None, None))
-            if p is None:
-                break
-            rp, rq = A[p], A[q]
-            for j in A:
-                rp[j] += rq[j]
-            rp[p] = 2 * rq[p]  # A[p][p] + A[p][q] + A[q][p] + A[q][q], with A[p][p] = A[q][q] = 0
-        rp = A.pop(p)
-        d = rp[p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        # only row p is read from here on, so its column needs no update
-        nz = [(j, rp[j]) for j in A if rp[j]]
-        for i, x in nz:
-            f, ri = Fraction(x, d), A[i]  # x / d of two ints would be a float
-            for j, y in nz:
-                ri[j] -= f * y
-    return KillingSignature(pos, neg, m - pos - neg)
+    """Exact signature: the inertia of the sums d²·K, whose pivots are K's times d² > 0."""
+    return KillingSignature(*form_inertia(g._killing_sums))
 
 
 def _killing_rows(g: LieAlgebra) -> tuple:

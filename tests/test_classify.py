@@ -448,3 +448,61 @@ def test_search_witness_abelian_edge():
     w = search_witness(a, a, 100)
     assert w is not None
     assert transform(a, w).c == a.c
+
+
+# the inertia of the Killing form on M of the tied entries that no isomorphic group holds
+M_INERTIAS = {
+    "dim2-2": (2, 0, 0),
+    "dim2-3": (1, 1, 0),
+    "split-1b": (2, 0, 1),
+    "split-1c": (1, 1, 1),
+    "split-3": (2, 0, 1),
+    "split-4": (1, 1, 1),
+}
+
+
+def test_the_killing_form_on_m_separates_every_tie_outside_the_groups(entries, by_label):
+    """Two tied entries have the same inertia of K on M exactly when one
+    isomorphic group of the catalog holds both."""
+    assert {label: by_label[label].system._m_inertia for label in M_INERTIAS} == M_INERTIAS
+    groups = {frozenset(pair) for pair in catalog.ISOMORPHIC_GROUPS}
+    for a in entries:
+        for b in entries:
+            if a is not b and a.expected == b.expected:
+                same = a.system._m_inertia == b.system._m_inertia
+                assert same == (frozenset((a.label, b.label)) in groups), (a.label, b.label)
+
+
+def test_a_search_runs_only_between_equal_killing_forms_on_m(by_label, monkeypatch):
+    """classify of a seeded change of each tied entry outside the groups
+    searches toward that entry alone, and isomorphic makes no search
+    between the two entries of such a tie."""
+    searches = count_calls(monkeypatch, search_witness)
+    rng = random.Random(3203)
+    for label in M_INERTIAS:
+        t = by_label[label].system
+        s = changed(rng, t, (0, 1, -1))
+        del searches[:]
+        # the tie itself when the search misses the witness within its budget
+        assert classify(s) in ([label], [e.label for e in catalog.all_entries() if e.expected == fingerprint(t)])
+        assert searches and all(args[0] is s and args[1] is t for args in searches), label
+    del searches[:]
+    for budget in (0, DEFAULT_CLASSIFY_BUDGET, 10**6):
+        r = isomorphic(by_label["dim2-2"].system, by_label["dim2-3"].system, budget)
+        assert (r.verdict, r.witness, r.separator) == ("unknown", None, None)
+    assert searches == []
+
+
+def test_isomorphic_matches_the_search_only_reference(entries):
+    """On every pair of catalog entries, and on seeded changes of the tied
+    entries against those entries, isomorphic gives the verdict and the
+    witness of the reference that searches between every tied pair."""
+    rng = random.Random(3209)
+    systems = [e.system for e in entries]
+    tied = [e.system for e in entries if sum(x.expected == e.expected for x in entries) > 1]
+    changes = [changed(rng, t, values) for t in tied for values in (TIED_VALUES, (0, 1, -1))]
+    pairs = [(a, b) for a in systems for b in systems]
+    pairs += [(c, t) for c in changes for t in tied] + [(t, c) for c in changes[::2] for t in tied]
+    for a, b in pairs:
+        for budget in (0, 404, DEFAULT_CLASSIFY_BUDGET):
+            assert isomorphic(a, b, budget) == classify_reference.isomorphic(a, b, budget), budget

@@ -10,6 +10,7 @@ from lietriple.exactla import (
     Matrix,
     SingularMatrix,
     Subspace,
+    form_inertia,
     inverse,
     kernel,
     rref,
@@ -391,3 +392,30 @@ def test_matrix_product_matches_dense_definition():
             for i in range(a.rows)
         ]
         assert rows(a * b) == dense
+
+
+@pytest.mark.parametrize(
+    "form, inertia",
+    [
+        ([], (0, 0, 0)),
+        ([[0, 0], [0, 0]], (0, 0, 2)),
+        ([[3, 0], [0, -5]], (1, 1, 0)),
+        # a zero diagonal takes the congruence step
+        ([[0, 1], [1, 0]], (1, 1, 0)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
+        # a block-diagonal form, one block singular, and a zero row
+        ([[2, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, -3, 0, 0], [0, 1, 0, 1, 0], [0] * 5], (2, 1, 2)),
+        # a pivot with no other entry left keeps the scale of the rest
+        ([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, -1]], (3, 1, 0)),
+        # pivots whose Bareiss updates divide by the pivot before them
+        ([[4, 6, 2], [6, 3, 5], [2, 5, 7]], (2, 1, 0)),
+    ],
+)
+def test_form_inertia_of_small_forms(form, inertia):
+    assert form_inertia(form) == inertia
+    # a congruence by a change of basis with entries 1/2 keeps the inertia
+    n = len(form)
+    P = [[Fraction(1, 2) if i == j else Fraction(i < j) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    moved = [[int(4 * sum(P[a][i] * form[i][j] * P[b][j] for i, j in cells)) for b in range(n)] for a in range(n)]
+    assert form_inertia(moved) == inertia

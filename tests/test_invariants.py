@@ -25,12 +25,13 @@ from lietriple.core import (
     transform,
     triple_product,
 )
-from lietriple.embed import decompose, lts_radical, standard_embedding
+from lietriple.embed import StandardEmbedding, decompose, lts_radical, standard_embedding
 from lietriple.exactla import (
     Echelon,
     Matrix,
     Subspace,
     capped_span,
+    form_inertia,
     full_subspace,
     inverse,
     kernel,
@@ -400,6 +401,9 @@ def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
             lambda: lie_derived_series(g),
             lambda: lower_central_series(g),
             lambda: lie_radical(g),
+            # the Schur-complement loop, on G and on M, with no cached value
+            lambda: killing_signature(g),
+            lambda: TripleSystem._m_inertia.func(t),
         ):
             assert fraction_arithmetic(call) == [], t
 
@@ -551,3 +555,47 @@ def test_fingerprint_forms_no_canonical_or_kernel_basis(by_label):
         assert set(profiled_calls(lambda: lts_radical(t).basis, LAZY_BUILDERS, "exactla.py")) == LAZY_BUILDERS
         t = make()
         assert profiled_calls(lambda: fingerprint(t), LAZY_BUILDERS, "exactla.py") == [], t
+
+
+def test_the_killing_form_on_m_is_read_off_the_triple_system(entries):
+    # K(x, y) = -tr(z -> (y, z, x)) - tr(z -> (x, z, y)) is the top-left n x n
+    # block of the embedding's Killing form, and its inertia does not change
+    # under a change of basis, also one with fractional entries
+    rng = random.Random(61)
+    for t in systems(entries):
+        n = t.dim
+        K = standard_embedding(t).algebra._killing_sums
+        assert t._m_inertia == form_inertia([r[:n] for r in K[:n]]), t
+        for T in (random_invertible(rng, n), random_invertible(rng, n, -11, 11, (1, 3, 5))):
+            assert transform(t, T)._m_inertia == t._m_inertia, t
+
+
+def test_h_basis_is_built_when_first_read(monkeypatch, entries):
+    # fingerprint and embed never read h_basis; read later, it is the basis
+    # of the reference, and the embedding equals, hashes, prints, copies and
+    # pickles like one built with it
+    embeddings = []
+
+    def record(t):
+        embeddings.append(standard_embedding(t))
+        return embeddings[-1]
+
+    monkeypatch.setattr(sys.modules["lietriple.classify"], "standard_embedding", record)
+    copies = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    rng = random.Random(67)
+    catalog = [e.system for e in entries]
+    texts = [serialize_lts(t) for t in catalog + [sphere_system(2), sphere_system(5)]]
+    texts += [serialize_lts(transform(t, random_invertible(rng, t.dim))) for t in catalog]
+    for text in texts:
+        t = parse_lts(text)
+        fingerprint(t)
+        emb = embeddings[-1]
+        assert "h_basis" not in vars(emb), text
+        before = [copy_(emb) for copy_ in copies]
+        assert all("h_basis" not in vars(x) for x in before), text
+        want = embed_reference.standard_embedding(t)
+        assert emb.h_basis == want.h_basis and vars(emb)["h_basis"] is emb.h_basis, text
+        eager = StandardEmbedding(t, emb.algebra, emb.grading, want.h_basis, emb.h_dim)
+        assert eager == emb and hash(eager) == hash(emb) and repr(eager) == repr(emb), text
+        for x in before + [copy_(emb) for copy_ in copies]:
+            assert x == emb and hash(x) == hash(emb) and x.h_basis == want.h_basis, text
