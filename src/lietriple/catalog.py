@@ -19,9 +19,8 @@ isomorphism (e3 ↦ e2 ∓ e3), and split-5 ≅ split-6 (e3 ↦ -e3).  All four
 labels are kept because all four are classical; their fingerprints collide
 by necessity.  ``ISOMORPHIC_GROUPS`` declares these groups with their
 witnesses; the test suite verifies each witness exactly and checks that
-the default witness search finds a witness between tied entries exactly
-within a group, so classify reports a tie within one group without a
-search.
+the inertia of the Killing form on M separates every other tie, so
+classify reports a group, or one label, with no search.
 
 Every entry records the invariant fingerprint the library computes for it;
 the test suite recomputes and compares.

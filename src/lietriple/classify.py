@@ -24,7 +24,6 @@ from .lie import KillingSignature, killing_signature, lie_derived_series, lower_
 from .witness import search_witness
 
 DEFAULT_ISO_BUDGET = 10**6
-DEFAULT_CLASSIFY_BUDGET = 20_000
 
 
 class UnsupportedDimension(ValueError):
@@ -95,17 +94,29 @@ def first_separator(a: Fingerprint, b: Fingerprint) -> str | None:
     return None
 
 
-def _witness(a: TripleSystem, b: TripleSystem, budget: int) -> IsoResult:
-    """Witness step for fingerprint-tied systems: the identity for equal
-    tensors, else the bounded search, whose hit is verified by an exact
-    transform before being returned.  It runs only when the Killing forms
-    on M (``TripleSystem._m_inertia``) have the same inertia: a witness
-    carries one form to the other, so with different ones it finds none."""
+def isomorphic(a: TripleSystem, b: TripleSystem, budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
+    """Three-valued isomorphism test.
+
+    Both systems are validated, a first; b equal to a gives the identity
+    with no invariant computed.  Distinct fingerprints give a certified
+    negative with the separating field named; the fields read off M alone
+    are compared first, and the standard embeddings are built only when
+    those tie.  Otherwise a deterministic search for a basis-change witness
+    runs up to ``budget`` invertible candidates, its hit verified by an
+    exact transform.  The search runs only when the Killing forms on M have
+    the same inertia (``TripleSystem._m_inertia``): a witness carries one
+    form to the other.
+    """
+    require_axioms(a)
     if a._nz == b._nz:
         return IsoResult("isomorphic", Matrix.identity(a.dim))
-    if a._m_inertia != b._m_inertia:
-        return IsoResult("unknown")
-    T = search_witness(a, b, budget)
+    require_axioms(b)
+    sep = next((name for name, x, y in zip(FINGERPRINT_FIELDS, a._m_fields, b._m_fields) if x != y), None)
+    if sep is None:
+        sep = first_separator(fingerprint(a), fingerprint(b))
+    if sep is not None:
+        return IsoResult("non_isomorphic", separator=sep)
+    T = search_witness(a, b, budget) if a._m_inertia == b._m_inertia else None
     if T is None:
         return IsoResult("unknown")
     if transform(a, T)._nz != b._nz:
@@ -113,55 +124,19 @@ def _witness(a: TripleSystem, b: TripleSystem, budget: int) -> IsoResult:
     return IsoResult("isomorphic", T)
 
 
-def isomorphic(a: TripleSystem, b: TripleSystem, budget: int = DEFAULT_ISO_BUDGET) -> IsoResult:
-    """Three-valued isomorphism test.
+def classify(t: TripleSystem) -> list[str]:
+    """Labels of the catalog entries with the system's fingerprint and the
+    inertia of its Killing form on M, in catalog order; empty for no match.
 
-    Both systems are validated, a first.  Distinct fingerprints give a
-    certified negative with the separating field named; the fields read
-    off M alone are compared first, and the standard embeddings are built
-    only when those tie.  Otherwise a deterministic search for a
-    basis-change witness runs up to ``budget`` invertible candidates.
-    """
-    require_axioms(a)
-    require_axioms(b)
-    sep = next((name for name, x, y in zip(FINGERPRINT_FIELDS, a._m_fields, b._m_fields) if x != y), None)
-    if sep is None:
-        sep = first_separator(fingerprint(a), fingerprint(b))
-    if sep is not None:
-        return IsoResult("non_isomorphic", separator=sep)
-    return _witness(a, b, budget)
-
-
-def classify(t: TripleSystem, budget: int = DEFAULT_CLASSIFY_BUDGET) -> list[str]:
-    """Labels of catalog entries the system can be: equal fingerprint,
-    refined by the bounded isomorphism search where that is conclusive.
-
-    The input's fingerprint is computed once and compared with the frozen
-    catalog fingerprints.  An empty list means no catalog entry shares
-    it.  The tied entries fall into classes: a group of isomorphic entries
-    the catalog declares (``catalog.ISOMORPHIC_GROUPS``, which the test
-    suite checks against the default search), or an entry alone.  A tie
-    within one class gives every tied label with no search.  Otherwise
-    the search from the input, bounded by ``budget``, runs for each tied
-    entry whose class has no witness yet: the labels are the classes with
-    a witness, since no other tied entry is isomorphic to those, or every
-    tied label when the search finds none.  The order follows the catalog.
+    Both are invariants over R (the form on M since an isomorphism extends
+    to the standard embeddings, Lister 1952), so no entry left out is
+    isomorphic to the input, and the test suite checks that two entries
+    left form one of the groups ``catalog.ISOMORPHIC_GROUPS`` declares.  The
+    fingerprint is computed once, and no witness search runs.
     """
     from . import catalog
 
     if t.dim not in (2, 3):
         raise UnsupportedDimension("classification covers dimensions 2 and 3 only")
     fp = fingerprint(t)
-    candidates = [e for e in catalog.all_entries() if e.expected == fp]
-    group = {label: pair for pair in catalog.ISOMORPHIC_GROUPS for label in pair}
-    classes = {}  # an entry's isomorphic group, or its label alone -> its tied entries
-    for e in candidates:
-        classes.setdefault(group.get(e.label, e.label), []).append(e)
-    if len(classes) <= 1:
-        return [e.label for e in candidates]
-    hits = {
-        key
-        for key, members in classes.items()
-        if any(_witness(t, e.system, budget).verdict == "isomorphic" for e in members)
-    }
-    return [e.label for e in candidates if not hits or group.get(e.label, e.label) in hits]
+    return [e.label for e in catalog.all_entries() if e.expected == fp and e.system._m_inertia == t._m_inertia]

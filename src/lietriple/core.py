@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import _tensor
 from .exactla import (
@@ -331,17 +332,48 @@ def direct_sum(a: TripleSystem, b: TripleSystem) -> TripleSystem:
 
 
 def transform(t: TripleSystem, T: Matrix) -> TripleSystem:
-    """Basis change: rows of T are the new basis vectors in old coordinates."""
+    """Basis change: rows of T are the new basis vectors in old coordinates.
+
+    Mode products on the integer tensor (cf. Kolda and Bader, 2009), with T
+    and T⁻¹ scaled to ints: the third slot is contracted with T, then the
+    first two in one step weighted by the minors T_ai·T_bj − T_aj·T_bi,
+    i < j, as the tensor is antisymmetric there, and last the coordinates
+    with T⁻¹, since old coordinates v are new ones x by v = x·T.  Each
+    nonzero coordinate is one ``Fraction``, formed at the end.
+    """
     n = t.dim
     if T.rows != n or T.cols != n:
         raise ValueError("transform matrix must be n x n")
-    Tinv = inverse(T)  # raises SingularMatrix
-    new_rows = T.entries
-    pairs = {}
+    (s, A), (r, B) = (_scaled(M.entries) for M in (T, inverse(T)))  # inverse raises SingularMatrix
+    d, S = t._integer
+    cells = []  # (i, j, W) for i < j with a nonzero product: W[k] the pairs of (e_i, e_j, row k of A)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if any(S[i][j]):
+                W = [[0] * n for _ in A]
+                for c, p in enumerate(S[i][j]):
+                    for l, y in p:
+                        for w, Ak in zip(W, A):
+                            w[l] += Ak[c] * y
+                cells.append((i, j, [vec_nonzeros(w) for w in W]))
+    den, pairs = s**3 * d * r, {}
     for a in range(n):
         for b in range(a + 1, n):
+            minors = [(m, W) for i, j, W in cells if (m := A[a][i] * A[b][j] - A[a][j] * A[b][i])]
             for k in range(n):
-                prod_old = triple_product(t, new_rows[a], new_rows[b], new_rows[k])
-                # old coords v relate to new coords x by v = x·T
-                pairs[(a, b, k)] = vec_nonzeros(Tinv.vecmat(prod_old))
+                v = [0] * n
+                for m, W in minors:
+                    for l, x in W[k]:
+                        v[l] += m * x
+                out = [0] * n
+                for l, x in enumerate(v):
+                    if x:
+                        out = [o + x * y for o, y in zip(out, B[l])]
+                pairs[(a, b, k)] = tuple([(l, Fraction(x, den)) for l, x in enumerate(out) if x])
     return TripleSystem._from_pairs(n, pairs)
+
+
+def _scaled(rows) -> tuple[int, list]:
+    """(s, ints): the least common denominator s of the entries of rows, and rows times s, as ints."""
+    s = lcm(*[x.denominator for row in rows for x in row])
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in rows]

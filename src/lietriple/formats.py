@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from . import _tensor
 from .core import TripleSystem
@@ -58,13 +59,15 @@ def _format_rational(q: Fraction) -> str:
 def _parse_rational(tok: str, line_no: int) -> Fraction:
     if not _RATIONAL_RE.match(tok):
         raise ParseError(line_no, f"malformed rational {tok!r}")
+    num, _, den = tok.partition("/")
     try:
-        q = Fraction(tok)
+        p, q = int(num), int(den or 1)
     except ValueError:  # more digits than int() converts
         raise ParseError(line_no, f"rational of {len(tok)} characters exceeds the digit limit") from None
-    if _format_rational(q) != tok:
+    # as written by _format_rational: p/q with q > 1 and gcd 1, or p alone, not -0
+    if (q == 1 or gcd(p, q) != 1) if den else tok == "-0":
         raise ParseError(line_no, f"rational {tok!r} not in lowest terms")
-    return q
+    return Fraction(p, q)
 
 
 def _content_lines(text: str):

@@ -1,23 +1,24 @@
 """Reference ``classify`` and ``isomorphic``: the tied entries decided by
 search alone.
 
-``classify`` is the earlier body of ``lietriple.classify.classify``, which
-knows nothing of the catalog's isomorphic groups.  It searches from the
-input to every tied entry, bounded by ``budget``; when some entries have a
-witness, it keeps those and every tied entry with a witness from one of
-them, searched between the catalog entries at the default budget.
-``witness`` is the earlier body of ``lietriple.classify._witness``, which
-searches between any two tied systems, whatever the Killing forms on M,
-and ``isomorphic`` is the library's body on top of it.  The tests compare
-the library's ``classify`` and ``isomorphic`` with these, label for label
-and witness for witness.
+``classify`` is an earlier body of ``lietriple.classify.classify``, which
+knows nothing of the catalog's isomorphic groups or of the Killing form
+on M.  It searches from the input to every tied entry, bounded by
+``budget``; when some entries have a witness, it keeps those and every
+tied entry with a witness from one of them, searched between the catalog
+entries at ``DEFAULT_CLASSIFY_BUDGET``.  ``witness`` is the earlier
+witness step of ``lietriple.classify.isomorphic``, which searches between
+any two tied systems, whatever the Killing forms on M, and ``isomorphic``
+is the library's body on top of it.  The tests compare the library's
+``isomorphic`` with these, verdict for verdict and witness for witness,
+and its ``classify`` with these labels cut down to those of the input's
+inertia on M.
 """
 
 from __future__ import annotations
 
 from lietriple import catalog
 from lietriple.classify import (
-    DEFAULT_CLASSIFY_BUDGET,
     DEFAULT_ISO_BUDGET,
     FINGERPRINT_FIELDS,
     IsoResult,
@@ -28,6 +29,8 @@ from lietriple.classify import (
 from lietriple.core import require_axioms, transform
 from lietriple.exactla import Matrix
 from lietriple.witness import search_witness
+
+DEFAULT_CLASSIFY_BUDGET = 20_000  # the budget of the earlier classify's searches
 
 
 def witness(a, b, budget):

@@ -29,6 +29,7 @@ from lietriple.exactla import (
     unit_vec,
 )
 import invariants_reference as ref
+import transform_reference
 from util import random_invertible, random_rational, sphere_system, zero_subspace
 
 E1, E2 = (1, 0), (0, 1)
@@ -416,3 +417,21 @@ def test_transform_preserves_axioms(entries):
     for e in entries:
         T = random_invertible(rng, e.system.dim)
         assert check_axioms(transform(e.system, T)).ok, e.label
+
+
+def test_transform_matches_the_trilinear_reference(entries):
+    """The mode products give the reference's products, formed trilinearly
+    over the rows of T in Fractions: on seeded changes of every entry, on
+    the spheres, on T with prime denominators near 10^6, applied once and
+    again, and for n = 0 and n = 1."""
+    rng = random.Random(3311)
+    cases = [(e.system, random_invertible(rng, e.system.dim)) for e in entries for _ in range(3)]
+    cases += [(sphere_system(k), random_invertible(rng, k)) for k in range(2, 8)]
+    cases.append((sphere_system(12), random_invertible(random.Random(1), 12, -1, 1, (1,))))
+    large = (999_979, 1_000_003)
+    for t in [e.system for e in entries] + [sphere_system(5)]:
+        T = random_invertible(rng, t.dim, dens=large)
+        cases += [(t, T), (transform_reference.transform(t, T), random_invertible(rng, t.dim, dens=large))]
+    cases += [(TripleSystem.abelian(0), Matrix.identity(0)), (TripleSystem.abelian(1), Matrix.from_rows([[Fraction(-2, 3)]]))]
+    for t, T in cases:
+        assert transform(t, T)._nz == transform_reference.transform(t, T)._nz, (t.dim, T)

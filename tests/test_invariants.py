@@ -12,6 +12,7 @@ import pytest
 
 import embed_reference
 import invariants_reference as ref
+import transform_reference
 from lietriple import _tensor, core, exactla, lie
 from lietriple.classify import fingerprint
 from lietriple.core import (
@@ -406,6 +407,16 @@ def test_spans_kernels_and_series_do_no_fraction_arithmetic(by_label):
             lambda: TripleSystem._m_inertia.func(t),
         ):
             assert fraction_arithmetic(call) == [], t
+
+
+def test_transform_does_no_fraction_arithmetic(by_label):
+    T = random_invertible(random.Random(31), 3, dens=(1, 3, 999_979))
+    for text in (serialize_lts(by_label["split-5"].system), serialize_lts(transform(by_label["dim3-VI"].system, T))):
+        # a fresh system, which scales its table inside the call
+        t = parse_lts(text)
+        assert fraction_arithmetic(lambda: transform_reference.transform(t, T)), text
+        t = parse_lts(text)
+        assert fraction_arithmetic(lambda: transform(t, T)) == [], text
 
 
 def public_subspaces(t):

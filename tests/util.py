@@ -60,6 +60,22 @@ def sphere_system(k):
     return TripleSystem.from_entries(k, entries)
 
 
+def form_system(beta):
+    """(x, y, z) = β(x,z) y - β(y,z) x on Q^k for the symmetric k x k form
+    β given by its rows: a Lie triple system for every β."""
+    k = len(beta)
+    entries = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            for c in range(k):
+                v = [0] * k
+                v[b] += beta[a][c]
+                v[a] -= beta[b][c]
+                if any(v):
+                    entries[(a, b, c)] = tuple(v)
+    return TripleSystem.from_entries(k, entries)
+
+
 def count_calls(monkeypatch, func):
     """Replace every binding of func in the lietriple modules by a wrapper
     that records each call; returns the list of records."""
